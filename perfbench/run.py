@@ -29,7 +29,7 @@ BUILD_DIR = os.path.join(ROOT, ".bench_build", "perfbench")
 BINARY = os.path.join(BUILD_DIR, "perfbench")
 # Set-up is measured in fresh processes (the measuring processes plus
 # set-up-only ones, so no process reuses another's set-up): at least
-# SETUP_MIN of them, and more while their set-ups total under
+# SETUP_MIN of them, and more while their unscaled set-ups total under
 # SETUP_BUDGET_S, up to SETUP_MAX, so millisecond set-ups get a steadier
 # median.
 SETUP_MIN, SETUP_MAX, SETUP_BUDGET_S = 3, 9, 1.0
@@ -84,13 +84,18 @@ def measure(args):
         if not runs[-1]["correct"]:
             break
     setups = [r["setup_s"] for r in runs]
+    raw_setups = [r["setup_raw_s"] for r in runs]
     while len(setups) < SETUP_MIN or (len(setups) < SETUP_MAX and
-                                      sum(setups) < SETUP_BUDGET_S):
-        setups.append(run_binary(args, args.seconds,
-                                 ["--setup-only"])["setup_s"])
+                                      sum(raw_setups) < SETUP_BUDGET_S):
+        r = run_binary(args, args.seconds, ["--setup-only"])
+        setups.append(r["setup_s"])
+        raw_setups.append(r["setup_raw_s"])
     units = [u for r in runs for u in r["units"]]
+    raw_units = [u for r in runs for u in r["raw_units"]]
     print("processes = %d, units = %d" % (len(runs), len(units)))
+    print("unscaled unit median = %.6g s" % statistics.median(raw_units))
     print("setup_s samples = %s s" % " ".join("%.6g" % s for s in setups))
+    print("unscaled set-up median = %.6g s" % statistics.median(raw_setups))
     return {
         "correct": all(r["correct"] for r in runs),
         "attempted": sum(r["attempted"] for r in runs),
@@ -98,7 +103,7 @@ def measure(args):
         "metrics": {
             "setup_s": statistics.median(setups),
             "peak_rss_mb": max(r["metrics"]["peak_rss_mb"] for r in runs),
-            "work_s": statistics.median(units),
+            "work_scaled_s": statistics.median(units),
         },
     }
 

@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "probe.h"
 #include "spans.h"
 
 namespace perfbench {
@@ -32,16 +33,26 @@ struct Options {
   bool tamper_logit = false;         // vit_functional
   bool tamper_conservation = false;  // fleet_serve
   std::int64_t start_ns = 0;  // process work start, for setup_s
+  // Untraced runs: the host-speed probe (probe.h) that rescales set-up
+  // and timed calls, and its seconds just before set-up. Null in traced
+  // runs.
+  HostProbe* probe = nullptr;
+  double setup_probe_s = 0.0;
 };
 
 struct Outcome {
   std::int64_t attempted = 0;  // timed calls
   std::int64_t failed = 0;     // timed calls that threw or failed a check
   std::vector<std::string> failures;
+  // Set-up seconds, rescaled like the timed calls when a probe is set,
+  // and unscaled.
   double setup_s = 0.0;
-  // Untraced run: host seconds of each unit of work (run.py reports the
-  // median as work_s).
+  double setup_raw_s = 0.0;
+  // Untraced run: host seconds of each unit of work, rescaled by the
+  // host-speed probe (run.py reports the median as work_scaled_s), and
+  // the same units unscaled.
   std::vector<double> units;
+  std::vector<double> raw_units;
   // Untraced run: peak_rss_mb. Traced run: this workload's per-layer
   // metrics.
   std::map<std::string, double> metrics;
@@ -53,7 +64,8 @@ struct Outcome {
     ++failed;
     failures.push_back(what);
   }
-  // Marks set-up as done: records setup_s from opts.start_ns.
+  // Marks set-up as done: records setup_s and setup_raw_s from
+  // opts.start_ns.
   void setup_done(const Options& opts);
   void note(const std::string& name, double value, const std::string& unit);
 };

@@ -142,13 +142,15 @@ Outcome run_fleet_serve(const Options& opts, Tracer& tracer) {
   out.setup_done(opts);
   if (opts.setup_only) return out;
 
-  double served_s = 0, offered = 0;
+  CallTimer timer(opts.probe);
+  double offered = 0;
   std::map<std::string, double> counts;  // first unit's exact counts
   std::map<std::string, double> layer_reqs;
   const auto t_start = now_ns();
   for (std::uint64_t unit = 0;
        unit == 0 || seconds_since(t_start) < opts.seconds; ++unit) {
     double u_s = 0;
+    const double raw_before = timer.raw_s();
     std::map<std::string, std::uint64_t> cold;
     for (std::size_t p = 0; p < kPoints.size(); ++p) {
       const auto& pt = kPoints[p];
@@ -157,20 +159,19 @@ Outcome run_fleet_serve(const Options& opts, Tracer& tracer) {
       const auto w = traffic(kRateRps, mix_seed(opts.seed, unit, p));
       ++out.attempted;
       serve::FleetSchedMetrics m;
-      const auto t0 = now_ns();
       try {
-        Scope s(tracer, "serve.cluster." + pt.name);
-        m = serve::simulate_fleet_sched(w, *registry, fleet);
+        u_s += timer.time([&] {
+          Scope s(tracer, "serve.cluster." + pt.name);
+          m = serve::simulate_fleet_sched(w, *registry, fleet);
+        });
       } catch (const std::exception& e) {
         out.fail(pt.name + ": " + e.what());
         return out;
       }
-      const double dt = seconds_since(t0);
       if (opts.tamper_conservation && unit == 0 && p == 0)
         ++m.total.total.completed;
       if (auto e = check_conservation(m); !e.empty())
         out.fail(pt.name + " unit " + std::to_string(unit) + ": " + e);
-      u_s += dt;
       offered += static_cast<double>(m.total.total.offered);
       layer_reqs["serve.cluster." + pt.name] +=
           static_cast<double>(m.total.total.offered);
@@ -191,7 +192,7 @@ Outcome run_fleet_serve(const Options& opts, Tracer& tracer) {
                  ": warm cold swaps " + std::to_string(cold[mode + "_warm"]) +
                  " not below jsq " + std::to_string(cold[mode + "_jsq"]));
     out.units.push_back(u_s);
-    served_s += u_s;
+    out.raw_units.push_back(timer.raw_s() - raw_before);
 
     if (!tracer.enabled()) continue;
     // Layer probes, each on a stream no earlier call saw.
@@ -242,7 +243,7 @@ Outcome run_fleet_serve(const Options& opts, Tracer& tracer) {
   }
 
   if (!tracer.enabled()) {
-    out.note("serve_req_per_s", offered / served_s, "req/s");
+    out.note("serve_req_per_s", offered / timer.raw_s(), "req/s");
     return out;
   }
   const auto self = tracer.self_ns_by_name();

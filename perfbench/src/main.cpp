@@ -12,6 +12,7 @@
 #include <exception>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -19,9 +20,17 @@
 #include "bench.h"
 
 namespace perfbench {
+namespace {
+// Probes on each side of set-up.
+constexpr int kSetupProbes = 5;
+}  // namespace
 
 void Outcome::setup_done(const Options& opts) {
-  setup_s = seconds_since(opts.start_ns);
+  setup_raw_s = seconds_since(opts.start_ns);
+  setup_s = opts.probe == nullptr
+                ? setup_raw_s
+                : setup_raw_s * kProbeRefS /
+                      (0.5 * (opts.setup_probe_s + opts.probe->run_median(kSetupProbes)));
 }
 
 void Outcome::note(const std::string& name, double value,
@@ -117,6 +126,14 @@ int run(int argc, char** argv) {
     else return usage_error("unknown flag " + arg);
   }
   if (!(opts.seconds > 0)) return usage_error("--seconds must be > 0");
+  // Built and run before set-up starts, so neither is set-up time.
+  std::optional<HostProbe> probe;
+  if (!opts.trace) {
+    probe.emplace();
+    opts.probe = &*probe;
+    opts.setup_probe_s = probe->run_median(kSetupProbes);
+    opts.start_ns = now_ns();
+  }
 
   Tracer tracer(opts.trace && !opts.setup_only);
   Outcome out;
@@ -133,7 +150,8 @@ int run(int argc, char** argv) {
   }
 
   if (opts.setup_only) {
-    std::cout << "{\"setup_s\": " << json_number(out.setup_s) << "}\n";
+    std::cout << "{\"setup_s\": " << json_number(out.setup_s)
+              << ", \"setup_raw_s\": " << json_number(out.setup_raw_s) << "}\n";
     return 0;
   }
   if (tracer.enabled()) {
@@ -153,6 +171,7 @@ int run(int argc, char** argv) {
   if (!out.units.empty()) {
     out.note("units", static_cast<double>(out.units.size()), "");
     out.note("unit_median_s", median(out.units), "s");
+    out.note("raw_unit_median_s", median(out.raw_units), "s");
   }
   out.note("failed_ops_frac",
            out.attempted == 0 ? 1.0
@@ -167,9 +186,13 @@ int run(int argc, char** argv) {
             << ", \"attempted\": " << out.attempted
             << ", \"failed\": " << out.failed
             << ", \"setup_s\": " << json_number(out.setup_s)
+            << ", \"setup_raw_s\": " << json_number(out.setup_raw_s)
             << ", \"units\": [";
   for (std::size_t i = 0; i < out.units.size(); ++i)
     std::cout << (i ? ", " : "") << json_number(out.units[i]);
+  std::cout << "], \"raw_units\": [";
+  for (std::size_t i = 0; i < out.raw_units.size(); ++i)
+    std::cout << (i ? ", " : "") << json_number(out.raw_units[i]);
   std::cout << "], \"metrics\": {";
   bool first = true;
   for (const auto& [name, value] : out.metrics) {

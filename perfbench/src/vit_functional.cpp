@@ -135,7 +135,8 @@ Outcome run_vit_functional(const Options& opts, Tracer& tracer) {
     return decomposed_vitbit_gemm(a, b, tracer, count_stats ? stats : ignored);
   };
 
-  std::vector<double> ref_s, vb_s;
+  CallTimer timer(opts.probe);
+  std::vector<double> ref_s, vb_s;  // raw seconds per forward
   int ref_forwards = 0, executor_images = 0, decomposed_images = 0;
   const auto t_start = now_ns();
   for (std::uint64_t i = 0; i == 0 || (tracer.enabled() && i < 2) ||
@@ -145,14 +146,14 @@ Outcome run_vit_functional(const Options& opts, Tracer& tracer) {
         seeded_image(cfg, mix_seed(opts.seed, 0x1a6e, i)), cfg);
     out.attempted += 2;
     try {
-      const auto t0 = now_ns();
       MatrixF32 ref, vb;
-      {
+      const double raw0 = timer.raw_s();
+      double unit_s = timer.time([&] {
         Scope s(tracer, "nn.forward/ref");
         ref = model.forward(patches, tracer.enabled() ? traced_ref : ref_gemm);
-      }
-      const auto t1 = now_ns();
-      {
+      });
+      const double raw1 = timer.raw_s();
+      unit_s += timer.time([&] {
         Scope s(tracer, "nn.forward/vitbit");
         const bool decompose = tracer.enabled() && i % 2 == 1;
         count_stats = i == 1;
@@ -161,12 +162,13 @@ Outcome run_vit_functional(const Options& opts, Tracer& tracer) {
                            : decompose       ? traced_decomposed
                                              : traced_executor);
         ++(decompose ? decomposed_images : executor_images);
-      }
-      const auto t2 = now_ns();
+      });
+      const double raw2 = timer.raw_s();
       ++ref_forwards;
-      ref_s.push_back(static_cast<double>(t1 - t0) * 1e-9);
-      vb_s.push_back(static_cast<double>(t2 - t1) * 1e-9);
-      out.units.push_back(static_cast<double>(t2 - t0) * 1e-9);
+      ref_s.push_back(raw1 - raw0);
+      vb_s.push_back(raw2 - raw1);
+      out.units.push_back(unit_s);
+      out.raw_units.push_back(raw2 - raw0);
       if (opts.tamper_logit && i == 0) vb.at(0, 0) += 1.0f;
       if (!bit_identical(ref, vb))
         out.fail("image " + std::to_string(i) +
