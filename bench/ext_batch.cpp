@@ -1,9 +1,9 @@
 // Extension bench: batched ViT-Base inference. Larger batches enlarge the
 // GEMMs (more blocks, better GPU fill); this sweeps the batch size and
 // reports throughput and VitBit's advantage at each point. Latencies come
-// from the same memoized per-batch-size table builder the serving tiers
-// and the model registry use (serve/server.h), so the bench and the
-// simulators can never disagree about what a batch costs.
+// from the same memoized per-batch-size table builder the serving engine's
+// model registry uses (serve/latency.h), so the bench and the simulator
+// can never disagree about what a batch costs.
 #include <cstdint>
 #include <iostream>
 
@@ -11,7 +11,7 @@
 #include "common/cli.h"
 #include "common/table.h"
 #include "nn/vit_model.h"
-#include "serve/server.h"
+#include "serve/latency.h"
 #include "vitbit/pipeline.h"
 
 namespace vitbit {

@@ -1,32 +1,30 @@
-// Extension bench: serving simulation rate sweep. Replays an open-loop
-// request stream against the dynamic batcher and reports, per arrival
-// rate, the goodput (completions within the SLO per second), p99 latency,
-// and drop rate of the tensor-core baseline next to VitBit — where the
-// paper's kernel-level speedup becomes user-visible capacity.
+// Extension bench: the serving sweep — VitBit's kernel speedup turned
+// into goodput and tail latency under load. Every point runs the one
+// serving engine (serve/sched) over the model zoo: priority classes,
+// fifo / continuous batching / preemptive continuous batching, per-
+// replica LRU weight caches, optionally sharded behind a router (rr,
+// jsq, po2c, or model-affinity warm routing) with per-shard autoscaling,
+// and — in fifo mode — seeded fault injection with retries, shedding and
+// degraded-mode failover. Reports, per (strategy, mode, route, rate),
+// goodput, p99, drop rate, shed count, preemption and cold-swap counts,
+// and the per-shard utilization spread.
 //
-//   serve_sim [--rates=100,200,...] [--rate=N] [--arrival=poisson]
-//             [--duration-s=2] [--seed=42] [--policy=timeout]
-//             [--max-batch=8] [--batch-timeout-us=2000]
-//             [--queue-capacity=64] [--num-gpus=1] [--slo-us=50000]
-//             [--layers=12] [--threads=N] [--csv] [--json=PATH]
+//   serve_sim [--models=vit-b] [--layers=N] [--strategies=TC,VitBit]
+//             [--modes=fifo,cb,cb-pre] [--rates=200,400] [--shards=1]
+//             [--routes=jsq] ... [--threads=N] [--csv] [--json=PATH]
 //
-// Fault injection (serve/faults.h; every process off by default):
-//             [--fault-seed=1] [--mtbf-s=0] [--mttr-s=0.05]
-//             [--batch-fail-prob=0] [--spike-prob=0] [--spike-mult=4]
-//             [--max-retries=2] [--retry-backoff-us=1000]
-//             [--degrade-below=0] [--fallback=TC]
-//
-// --json writes a schema-versioned run report (serve_points section) —
-// the document CI diffs across thread counts byte-for-byte, with and
-// without faults enabled.
+// The flag set is `vitbit_cli serve`'s (README lists every flag). --json
+// writes a schema-versioned run report (fleet_sched_points section) — the
+// document CI diffs across --threads values byte for byte (the fleet
+// loop is single-threaded per sweep point; parallelism only fans out
+// over points).
 #include <chrono>
 #include <iostream>
 #include <string>
-#include <vector>
 
 #include "bench/bench_util.h"
 #include "common/cli.h"
-#include "serve/server.h"
+#include "serve/cluster.h"
 
 namespace vitbit {
 namespace {
@@ -39,7 +37,7 @@ int run(int argc, char** argv) {
   auto pool = bench::make_pool(cli);
 
   // The one flag set shared with `vitbit_cli serve`, validated on return.
-  const auto cfg = serve::sweep_config_from_cli(cli);
+  const auto cfg = serve::fleet_sched_config_from_cli(cli);
   const bool csv = cli.get_bool("csv", false);
   const std::string json = cli.json_path();
 
@@ -50,26 +48,25 @@ int run(int argc, char** argv) {
     return 2;
   }
 
-  const auto points = serve::run_rate_sweep(cfg, spec, calib, &pool);
-  const auto t = serve::sweep_table(cfg, points);
+  const auto points = serve::run_fleet_sched_sweep(cfg, spec, calib, &pool);
+  const auto t = serve::fleet_sched_table(cfg, points);
   if (csv)
     t.print_csv(std::cout);
   else
     t.print(std::cout);
 
   if (!json.empty()) {
-    auto rep = serve::make_serve_report(cfg, points, "serve_sim",
-                                        pool.size());
+    auto rep = serve::make_fleet_sched_report(cfg, points, "serve_sim",
+                                              pool.size());
     rep.host_wall_seconds = std::chrono::duration<double>(
                                 std::chrono::steady_clock::now() - start)
                                 .count();
     report::save_report_file(json, rep);
   }
 
-  std::cout << "\nGoodput counts completions within the "
-            << cfg.server.slo_us / 1000 << " ms SLO. VitBit's lower batch\n"
-               "latency drains the queue faster, so it sustains a higher\n"
-               "arrival rate before p99 blows up and drops begin.\n";
+  std::cout << "\nEvery point faces the same request stream, so strategy, "
+               "mode, and route\ndeltas are kernels, scheduling, and "
+               "placement — never sampling.\n";
   return 0;
 }
 

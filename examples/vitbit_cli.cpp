@@ -5,7 +5,7 @@
 //   vitbit_cli infer  [--model=vit|cnn] [--strategy=VitBit] [--pack=2]
 //   vitbit_cli layout [--bits=8]                     packing policy details
 //   vitbit_cli report --json=out.json                machine-readable report
-//   vitbit_cli serve  [--rates=... --policy=timeout] serving rate sweep
+//   vitbit_cli serve  [--models=... --shards=N ...]  serving sweep
 //
 // Every subcommand accepts --threads=N (default: hardware_concurrency,
 // 1 = serial) and --gemm=ref|blocked|simd to pick the host GEMM engine (same
@@ -25,8 +25,6 @@
 #include "nn/vit_model.h"
 #include "report/run_report.h"
 #include "serve/cluster.h"
-#include "serve/sched/sched.h"
-#include "serve/server.h"
 #include "sim/gpu_sim.h"
 #include "swar/layout.h"
 #include "tensor/gemm_dispatch.h"
@@ -77,19 +75,30 @@ int cmd_tune(const Cli& cli, ThreadPool& pool) {
   return 0;
 }
 
+// --model=vit|cnn; anything else is a user error, not a silent ViT-Base.
+std::string model_flag(const Cli& cli) {
+  const std::string model = cli.get("model", "vit");
+  if (model != "vit" && model != "cnn")
+    throw CheckError("unknown model: " + model + " (want vit|cnn)");
+  return model;
+}
+
+// --strategy=NAME selects one strategy; absent, every strategy runs.
+std::vector<core::Strategy> strategy_flag(const Cli& cli) {
+  if (!cli.has("strategy")) return core::all_strategies();
+  return {core::strategy_from_name(cli.get("strategy", ""))};
+}
+
 int cmd_infer(const Cli& cli, ThreadPool& pool) {
   const auto& calib = arch::default_calibration();
-  const std::string model = cli.get("model", "vit");
+  const std::string model = model_flag(cli);
   const auto log = model == "cnn" ? nn::build_cnn_kernel_log(nn::cnn_edge())
                                   : nn::build_kernel_log(nn::vit_base());
   core::StrategyConfig cfg;
   const std::string cfg_path = cli.get("config", "");
   if (!cfg_path.empty()) cfg = core::load_config_file(cfg_path);
   cfg.pack_factor = static_cast<int>(cli.get_int("pack", cfg.pack_factor));
-  const std::string want = cli.get("strategy", "");
-  std::vector<core::Strategy> selected;
-  for (const auto s : core::all_strategies())
-    if (want.empty() || want == core::strategy_name(s)) selected.push_back(s);
+  const auto selected = strategy_flag(cli);
   auto results = parallel_map(&pool, selected.size(), [&](std::size_t i) {
     return core::time_inference(log, selected[i], cfg, kSpec, calib, &pool);
   });
@@ -121,7 +130,7 @@ int cmd_infer(const Cli& cli, ThreadPool& pool) {
 int cmd_report(const Cli& cli, ThreadPool& pool) {
   const auto start = std::chrono::steady_clock::now();
   const auto& calib = arch::default_calibration();
-  const std::string model = cli.get("model", "vit");
+  const std::string model = model_flag(cli);
   auto vit_cfg = nn::vit_base();
   vit_cfg.num_layers =
       static_cast<int>(cli.get_int("layers", vit_cfg.num_layers));
@@ -129,13 +138,7 @@ int cmd_report(const Cli& cli, ThreadPool& pool) {
                                   : nn::build_kernel_log(vit_cfg);
   core::StrategyConfig cfg;
   cfg.pack_factor = static_cast<int>(cli.get_int("pack", cfg.pack_factor));
-  const std::string want = cli.get("strategy", "");
-  if (!want.empty()) {
-    bool known = false;
-    for (const auto s : core::all_strategies())
-      known = known || want == core::strategy_name(s);
-    VITBIT_CHECK_MSG(known, "unknown strategy: " << want);
-  }
+  const auto selected = strategy_flag(cli);
 
   report::RunReport rep;
   rep.tool = "vitbit_cli";
@@ -145,9 +148,6 @@ int cmd_report(const Cli& cli, ThreadPool& pool) {
     rep.meta["layers"] = std::to_string(vit_cfg.num_layers);
   rep.meta["pack_factor"] = std::to_string(cfg.pack_factor);
   rep.threads = pool.size();
-  std::vector<core::Strategy> selected;
-  for (const auto s : core::all_strategies())
-    if (want.empty() || want == core::strategy_name(s)) selected.push_back(s);
   rep.strategies = parallel_map(&pool, selected.size(), [&](std::size_t i) {
     const auto r =
         core::time_inference(log, selected[i], cfg, kSpec, calib, &pool);
@@ -199,109 +199,15 @@ int cmd_report(const Cli& cli, ThreadPool& pool) {
   return 0;
 }
 
-// Serving-simulator rate sweep (serve/server.h): open-loop arrivals into
-// the dynamic batcher, TC vs VitBit goodput and tail latency per rate,
-// with optional deterministic fault injection (serve/faults.h). --json
-// writes the schema-versioned serve_points report.
+// The serving sweep (serve/cluster.h): a mixed multi-class request
+// stream over the model zoo, routed across one or more shards, under
+// every (strategy, mode, route, rate) point, with optional deterministic
+// fault injection (serve/faults.h). --json writes the schema-versioned
+// fleet_sched_points report.
 int cmd_serve(const Cli& cli, ThreadPool& pool) {
   const auto start = std::chrono::steady_clock::now();
   const auto& calib = arch::default_calibration();
   // The one flag set shared with bench/serve_sim, validated on return.
-  const auto cfg = serve::sweep_config_from_cli(cli);
-
-  const auto points = serve::run_rate_sweep(cfg, kSpec, calib, &pool);
-  serve::sweep_table(cfg, points).print(std::cout);
-
-  const std::string out = cli.json_path();
-  if (!out.empty()) {
-    auto rep = serve::make_serve_report(cfg, points, "vitbit_cli",
-                                        pool.size());
-    rep.host_wall_seconds = std::chrono::duration<double>(
-                                std::chrono::steady_clock::now() - start)
-                                .count();
-    report::save_report_file(out, rep);
-    // Same self-check as `report`: the artifact must round-trip before
-    // anything downstream trusts it.
-    const auto back = report::load_report_file(out);
-    VITBIT_CHECK_MSG(report::to_json(back) == report::to_json(rep),
-                     "serve report round-trip mismatch: " << out);
-    std::cout << "wrote " << out << " (" << rep.serve_points.size()
-              << " sweep points)\n";
-  }
-  return 0;
-}
-
-// Fleet sweep (serve/cluster.h): the request stream routed across many
-// shards under each balancing policy, with optional per-shard
-// autoscaling. --json writes the schema-versioned fleet_points report.
-int cmd_fleet(const Cli& cli, ThreadPool& pool) {
-  const auto start = std::chrono::steady_clock::now();
-  const auto& calib = arch::default_calibration();
-  // The one flag set shared with bench/fleet_sim, validated on return.
-  const auto cfg = serve::fleet_config_from_cli(cli);
-
-  const auto points = serve::run_fleet_sweep(cfg, kSpec, calib, &pool);
-  serve::fleet_table(cfg, points).print(std::cout);
-
-  const std::string out = cli.json_path();
-  if (!out.empty()) {
-    auto rep = serve::make_fleet_report(cfg, points, "vitbit_cli",
-                                        pool.size());
-    rep.host_wall_seconds = std::chrono::duration<double>(
-                                std::chrono::steady_clock::now() - start)
-                                .count();
-    report::save_report_file(out, rep);
-    // Same self-check as `report`: the artifact must round-trip before
-    // anything downstream trusts it.
-    const auto back = report::load_report_file(out);
-    VITBIT_CHECK_MSG(report::to_json(back) == report::to_json(rep),
-                     "fleet report round-trip mismatch: " << out);
-    std::cout << "wrote " << out << " (" << rep.fleet_points.size()
-              << " sweep points)\n";
-  }
-  return 0;
-}
-
-// Scheduler sweep (serve/sched/sched.h): a mixed multi-class request
-// stream over the model zoo through fifo, cb, and cb-pre scheduling.
-// --json writes the schema-versioned sched_points report.
-int cmd_sched(const Cli& cli, ThreadPool& pool) {
-  const auto start = std::chrono::steady_clock::now();
-  const auto& calib = arch::default_calibration();
-  // The one flag set shared with bench/sched_sim, validated on return.
-  const auto cfg = serve::sched_config_from_cli(cli);
-
-  const auto points = serve::run_sched_sweep(cfg, kSpec, calib, &pool);
-  serve::sched_table(cfg, points).print(std::cout);
-
-  const std::string out = cli.json_path();
-  if (!out.empty()) {
-    auto rep = serve::make_sched_report(cfg, points, "vitbit_cli",
-                                        pool.size());
-    rep.host_wall_seconds = std::chrono::duration<double>(
-                                std::chrono::steady_clock::now() - start)
-                                .count();
-    report::save_report_file(out, rep);
-    // Same self-check as `report`: the artifact must round-trip before
-    // anything downstream trusts it.
-    const auto back = report::load_report_file(out);
-    VITBIT_CHECK_MSG(report::to_json(back) == report::to_json(rep),
-                     "sched report round-trip mismatch: " << out);
-    std::cout << "wrote " << out << " (" << rep.sched_points.size()
-              << " sweep rows)\n";
-  }
-  return 0;
-}
-
-// Scheduled-fleet sweep (serve/cluster.h simulate_fleet_sched): the
-// mixed multi-class stream routed across many scheduler shards, warm
-// routing and model placement compared against jsq. --json writes the
-// schema-versioned fleet_sched_points report (schema minor 9).
-int cmd_fleet_sched(const Cli& cli, ThreadPool& pool) {
-  const auto start = std::chrono::steady_clock::now();
-  const auto& calib = arch::default_calibration();
-  // The one flag set shared with bench/fleet_sched_sim, validated on
-  // return.
   const auto cfg = serve::fleet_sched_config_from_cli(cli);
 
   const auto points = serve::run_fleet_sched_sweep(cfg, kSpec, calib, &pool);
@@ -319,7 +225,7 @@ int cmd_fleet_sched(const Cli& cli, ThreadPool& pool) {
     // anything downstream trusts it.
     const auto back = report::load_report_file(out);
     VITBIT_CHECK_MSG(report::to_json(back) == report::to_json(rep),
-                     "fleet-sched report round-trip mismatch: " << out);
+                     "serve report round-trip mismatch: " << out);
     std::cout << "wrote " << out << " (" << rep.fleet_sched_points.size()
               << " sweep rows)\n";
   }
@@ -343,9 +249,6 @@ int dispatch(const Cli& cli, const std::string& cmd, ThreadPool& pool) {
   if (cmd == "layout") return cmd_layout(cli);
   if (cmd == "report") return cmd_report(cli, pool);
   if (cmd == "serve") return cmd_serve(cli, pool);
-  if (cmd == "fleet") return cmd_fleet(cli, pool);
-  if (cmd == "sched") return cmd_sched(cli, pool);
-  if (cmd == "fleet-sched") return cmd_fleet_sched(cli, pool);
   return -1;
 }
 
@@ -373,47 +276,39 @@ int run(int argc, char** argv) {
     return rc;
   }
   std::cout << "usage: vitbit_cli "
-               "<study|tune|infer|layout|report|serve|fleet|sched|"
-               "fleet-sched> [--flags]\n"
+               "<study|tune|infer|layout|report|serve> [--flags]\n"
                "  study  --m --k --n        Section 3.2 GEMM ratio study\n"
                "  tune   --m --k --n        derive the VitBit split ratios\n"
                "  infer  --model=vit|cnn --strategy=NAME --pack=2\n"
                "  layout --bits=N           packing policy for a bitwidth\n"
                "  report --json=PATH --model=vit|cnn --layers=N --l2\n"
                "         machine-readable run report (see EXPERIMENTS.md)\n"
-               "  serve  --rates=CSV --arrival=poisson|uniform|bursty\n"
-               "         --policy=timeout|greedy --max-batch=N\n"
-               "         --batch-timeout-us=N --queue-capacity=N --num-gpus=N\n"
-               "         --slo-us=N --duration-s=S --seed=N [--json=PATH]\n"
-               "         fault injection: --fault-seed=N --mtbf-s=S\n"
+               "  serve  serving sweep over (strategy, mode, route, rate):\n"
+               "         --models=CSV (zoo names) --layers=N\n"
+               "         --strategies=CSV|--strategy=NAME\n"
+               "         --modes=fifo,cb,cb-pre --rates=CSV|--rate=N\n"
+               "         --classes=CSV --weights=CSV --slos-us=CSV\n"
+               "         --shares=CSV --arrivals=CSV|--arrival=KIND\n"
+               "         --mix=CSV or per-class --mix0=CSV...\n"
+               "         --burst-on-s=S --burst-off-s=S --duration-s=S\n"
+               "         --seed=N --policy=greedy|timeout\n"
+               "         --batch-timeout-us=N --max-batch=N\n"
+               "         --queue-capacity=N --num-gpus=N --iters=N\n"
+               "         --slo-us=N --cache-models=N --load-gbps=X\n"
+               "         --warm-swap-us=N --exact\n"
+               "         fleet: --shards=N --routes=CSV|--route=NAME\n"
+               "         (random|rr|jsq|po2c|warm) --route-seed=N\n"
+               "         --placement=none|spread --cold-route-classes=N\n"
+               "         autoscaling: --min-replicas=N --max-replicas=N\n"
+               "         --scale-interval-us=N --scale-up-depth=N\n"
+               "         --scale-down-depth=N --scale-p99-us=N\n"
+               "         --scale-cooldown-us=N --scale-preempt-per-s=X\n"
+               "         --scale-slo-miss-rate=X\n"
+               "         faults (fifo only): --fault-seed=N --mtbf-s=S\n"
                "         --mttr-s=S --batch-fail-prob=P --spike-prob=P\n"
-               "         --spike-mult=X --max-retries=N --retry-backoff-us=N\n"
-               "         --degrade-below=N --fallback=NAME\n"
-               "         serving rate sweep: TC vs VitBit goodput and p99\n"
-               "  fleet  --shards=N --routes=rr,jsq,po2c --route-seed=N\n"
-               "         --strategy=NAME --replicas=N --exact plus the serve\n"
-               "         flags; autoscaling: --min-replicas=N\n"
-               "         --max-replicas=N --scale-interval-us=N\n"
-               "         --scale-up-depth=N --scale-down-depth=N\n"
-               "         --scale-p99-us=N --scale-cooldown-us=N\n"
-               "         sharded fleet sweep: balancing policies compared\n"
-               "         with streaming (P^2) percentiles [--json=PATH]\n"
-               "  sched  --models=CSV (zoo names, see serve/models)\n"
-               "         --modes=fifo,cb,cb-pre --rates=CSV --classes=CSV\n"
-               "         --weights=CSV --slos-us=CSV --shares=CSV\n"
-               "         --arrivals=CSV --mix=CSV or per-class --mix0=CSV...\n"
-               "         --max-batch=N --queue-capacity=N --num-gpus=N\n"
-               "         --iters=N --cache-models=N --load-gbps=X\n"
-               "         --warm-swap-us=N --exact [--json=PATH]\n"
-               "         continuous-batching scheduler with priority\n"
-               "         classes over the multi-model zoo\n"
-               "  fleet-sched  the sched flags plus --shards=N\n"
-               "         --routes=jsq,warm --route-seed=N\n"
-               "         --placement=none|spread --cold-route-classes=N;\n"
-               "         autoscaling adds --scale-preempt-per-s=X\n"
-               "         --scale-slo-miss-rate=X to the fleet knobs\n"
-               "         class-aware scheduled fleet: warm routing and\n"
-               "         model placement vs jsq [--json=PATH]\n"
+               "         --spike-mult=X --max-retries=N\n"
+               "         --retry-backoff-us=N --degrade-below=N\n"
+               "         --fallback=NAME [--json=PATH]\n"
                "  all subcommands: --threads=N  host threads for the\n"
                "         simulation fan-out (default: all cores, 1=serial;\n"
                "         simulated results are identical for every N)\n"

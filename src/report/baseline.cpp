@@ -96,122 +96,12 @@ void compare_strategy(std::vector<MetricDelta>& out,
       add_new(out, p + "kernel." + k.name + ".cycles", tol.allow_new_metrics);
 }
 
-void compare_serve_point(std::vector<MetricDelta>& out,
-                         const ServePointReport& base,
-                         const ServePointReport& fresh,
-                         const ToleranceSpec& tol) {
-  const std::string p = "serve." + base.key() + ".";
-  // offered/dropped count arrivals of the seeded workload — exact by
-  // construction; completed and everything downstream inherit latency
-  // drift through the queue dynamics.
-  compare_metric(out, p + "offered", static_cast<double>(base.offered),
-                 static_cast<double>(fresh.offered), tol.instructions);
-  compare_metric(out, p + "completed", static_cast<double>(base.completed),
-                 static_cast<double>(fresh.completed), tol.serve);
-  compare_metric(out, p + "drop_rate", base.drop_rate, fresh.drop_rate,
-                 tol.serve);
-  compare_metric(out, p + "throughput_rps", base.throughput_rps,
-                 fresh.throughput_rps, tol.serve);
-  compare_metric(out, p + "goodput_rps", base.goodput_rps, fresh.goodput_rps,
-                 tol.serve);
-  compare_metric(out, p + "utilization", base.utilization, fresh.utilization,
-                 tol.serve);
-  compare_metric(out, p + "p50_us", static_cast<double>(base.p50_us),
-                 static_cast<double>(fresh.p50_us), tol.serve);
-  compare_metric(out, p + "p99_us", static_cast<double>(base.p99_us),
-                 static_cast<double>(fresh.p99_us), tol.serve);
-  // Fault-path accounting (schema minor 4). Pre-bump baselines read these
-  // as zero and fault-free fresh runs report zero, so the added rows stay
-  // rel_delta == 0 on the legacy gate.
-  compare_metric(out, p + "batch_failures",
-                 static_cast<double>(base.batch_failures),
-                 static_cast<double>(fresh.batch_failures), tol.serve);
-  compare_metric(out, p + "retries", static_cast<double>(base.retries),
-                 static_cast<double>(fresh.retries), tol.serve);
-  compare_metric(out, p + "requeued", static_cast<double>(base.requeued),
-                 static_cast<double>(fresh.requeued), tol.serve);
-  compare_metric(out, p + "shed", static_cast<double>(base.shed),
-                 static_cast<double>(fresh.shed), tol.serve);
-  compare_metric(out, p + "failovers", static_cast<double>(base.failovers),
-                 static_cast<double>(fresh.failovers), tol.serve);
-  compare_metric(out, p + "degraded_s", base.degraded_s, fresh.degraded_s,
-                 tol.serve);
-}
-
-void compare_fleet_point(std::vector<MetricDelta>& out,
-                         const FleetPointReport& base,
-                         const FleetPointReport& fresh,
-                         const ToleranceSpec& tol) {
-  const std::string p = "fleet." + base.key() + ".";
-  // offered counts arrivals of the seeded workload — exact by
-  // construction; the routed queueing metrics inherit latency drift.
-  compare_metric(out, p + "offered", static_cast<double>(base.offered),
-                 static_cast<double>(fresh.offered), tol.instructions);
-  compare_metric(out, p + "completed", static_cast<double>(base.completed),
-                 static_cast<double>(fresh.completed), tol.serve);
-  compare_metric(out, p + "drop_rate", base.drop_rate, fresh.drop_rate,
-                 tol.serve);
-  compare_metric(out, p + "throughput_rps", base.throughput_rps,
-                 fresh.throughput_rps, tol.serve);
-  compare_metric(out, p + "goodput_rps", base.goodput_rps, fresh.goodput_rps,
-                 tol.serve);
-  compare_metric(out, p + "utilization", base.utilization, fresh.utilization,
-                 tol.serve);
-  compare_metric(out, p + "shed", static_cast<double>(base.shed),
-                 static_cast<double>(fresh.shed), tol.serve);
-  compare_metric(out, p + "p50_us", static_cast<double>(base.p50_us),
-                 static_cast<double>(fresh.p50_us), tol.serve);
-  compare_metric(out, p + "p99_us", static_cast<double>(base.p99_us),
-                 static_cast<double>(fresh.p99_us), tol.serve);
-  compare_metric(out, p + "scale_ups", static_cast<double>(base.scale_ups),
-                 static_cast<double>(fresh.scale_ups), tol.serve);
-  compare_metric(out, p + "scale_downs",
-                 static_cast<double>(base.scale_downs),
-                 static_cast<double>(fresh.scale_downs), tol.serve);
-  compare_metric(out, p + "shard_util_min", base.shard_util_min,
-                 fresh.shard_util_min, tol.serve);
-  compare_metric(out, p + "shard_util_max", base.shard_util_max,
-                 fresh.shard_util_max, tol.serve);
-}
-
-void compare_sched_point(std::vector<MetricDelta>& out,
-                         const SchedPointReport& base,
-                         const SchedPointReport& fresh,
-                         const ToleranceSpec& tol) {
-  const std::string p = "sched." + base.key() + ".";
-  // offered counts arrivals of the seeded mixed workload — exact by
-  // construction (and conservation ties dropped to it); the scheduling
-  // metrics inherit latency drift through the queue dynamics.
-  compare_metric(out, p + "offered", static_cast<double>(base.offered),
-                 static_cast<double>(fresh.offered), tol.instructions);
-  compare_metric(out, p + "completed", static_cast<double>(base.completed),
-                 static_cast<double>(fresh.completed), tol.serve);
-  compare_metric(out, p + "drop_rate", base.drop_rate, fresh.drop_rate,
-                 tol.serve);
-  compare_metric(out, p + "throughput_rps", base.throughput_rps,
-                 fresh.throughput_rps, tol.serve);
-  compare_metric(out, p + "goodput_rps", base.goodput_rps, fresh.goodput_rps,
-                 tol.serve);
-  compare_metric(out, p + "utilization", base.utilization, fresh.utilization,
-                 tol.serve);
-  compare_metric(out, p + "p50_us", static_cast<double>(base.p50_us),
-                 static_cast<double>(fresh.p50_us), tol.serve);
-  compare_metric(out, p + "p99_us", static_cast<double>(base.p99_us),
-                 static_cast<double>(fresh.p99_us), tol.serve);
-  compare_metric(out, p + "preemptions",
-                 static_cast<double>(base.preemptions),
-                 static_cast<double>(fresh.preemptions), tol.serve);
-  compare_metric(out, p + "model_swaps",
-                 static_cast<double>(base.model_swaps),
-                 static_cast<double>(fresh.model_swaps), tol.serve);
-}
-
 void compare_fleet_sched_point(std::vector<MetricDelta>& out,
                                const FleetSchedPointReport& base,
                                const FleetSchedPointReport& fresh,
                                const ToleranceSpec& tol) {
   const std::string p = "fleet_sched." + base.key() + ".";
-  // offered counts arrivals of the seeded mixed workload — exact by
+  // offered counts arrivals of the seeded workload — exact by
   // construction; everything downstream inherits latency drift through
   // the routed queue dynamics.
   compare_metric(out, p + "offered", static_cast<double>(base.offered),
@@ -230,6 +120,21 @@ void compare_fleet_sched_point(std::vector<MetricDelta>& out,
                  static_cast<double>(fresh.p50_us), tol.serve);
   compare_metric(out, p + "p99_us", static_cast<double>(base.p99_us),
                  static_cast<double>(fresh.p99_us), tol.serve);
+  // Fault-path accounting (schema minor 10). Older baselines read these
+  // as zero, as do fault-free fresh runs.
+  compare_metric(out, p + "batch_failures",
+                 static_cast<double>(base.batch_failures),
+                 static_cast<double>(fresh.batch_failures), tol.serve);
+  compare_metric(out, p + "retries", static_cast<double>(base.retries),
+                 static_cast<double>(fresh.retries), tol.serve);
+  compare_metric(out, p + "requeued", static_cast<double>(base.requeued),
+                 static_cast<double>(fresh.requeued), tol.serve);
+  compare_metric(out, p + "shed", static_cast<double>(base.shed),
+                 static_cast<double>(fresh.shed), tol.serve);
+  compare_metric(out, p + "failovers", static_cast<double>(base.failovers),
+                 static_cast<double>(fresh.failovers), tol.serve);
+  compare_metric(out, p + "degraded_s", base.degraded_s, fresh.degraded_s,
+                 tol.serve);
   compare_metric(out, p + "preemptions",
                  static_cast<double>(base.preemptions),
                  static_cast<double>(fresh.preemptions), tol.serve);
@@ -405,45 +310,6 @@ BaselineCheckResult check_against_baseline(const RunReport& fresh,
     compare_metric(out, p + "hit_rate", base.l2_hit_rate, f->l2_hit_rate,
                    tol.l2_hit_rate);
   }
-
-  for (const auto& base : baseline.serve_points) {
-    const ServePointReport* f = fresh.find_serve_point(base.key());
-    if (f == nullptr) {
-      add_missing(out, "serve." + base.key() + ".goodput_rps");
-      continue;
-    }
-    compare_serve_point(out, base, *f, tol);
-  }
-  for (const auto& p : fresh.serve_points)
-    if (baseline.find_serve_point(p.key()) == nullptr)
-      add_new(out, "serve." + p.key() + ".goodput_rps",
-              tol.allow_new_metrics);
-
-  for (const auto& base : baseline.fleet_points) {
-    const FleetPointReport* f = fresh.find_fleet_point(base.key());
-    if (f == nullptr) {
-      add_missing(out, "fleet." + base.key() + ".goodput_rps");
-      continue;
-    }
-    compare_fleet_point(out, base, *f, tol);
-  }
-  for (const auto& p : fresh.fleet_points)
-    if (baseline.find_fleet_point(p.key()) == nullptr)
-      add_new(out, "fleet." + p.key() + ".goodput_rps",
-              tol.allow_new_metrics);
-
-  for (const auto& base : baseline.sched_points) {
-    const SchedPointReport* f = fresh.find_sched_point(base.key());
-    if (f == nullptr) {
-      add_missing(out, "sched." + base.key() + ".goodput_rps");
-      continue;
-    }
-    compare_sched_point(out, base, *f, tol);
-  }
-  for (const auto& p : fresh.sched_points)
-    if (baseline.find_sched_point(p.key()) == nullptr)
-      add_new(out, "sched." + p.key() + ".goodput_rps",
-              tol.allow_new_metrics);
 
   for (const auto& base : baseline.fleet_sched_points) {
     const FleetSchedPointReport* f = fresh.find_fleet_sched_point(base.key());

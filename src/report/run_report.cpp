@@ -51,49 +51,11 @@ const StrategyReport* RunReport::find_strategy(
   return nullptr;
 }
 
-std::string ServePointReport::key() const {
-  char rate[32];
-  std::snprintf(rate, sizeof rate, "%g", rate_rps);
-  return strategy + "." + policy + "." + arrival + "@" + rate;
-}
-
-const ServePointReport* RunReport::find_serve_point(
-    const std::string& key) const {
-  for (const auto& p : serve_points)
-    if (p.key() == key) return &p;
-  return nullptr;
-}
-
-std::string FleetPointReport::key() const {
-  char rate[32];
-  std::snprintf(rate, sizeof rate, "%g", rate_rps);
-  return strategy + "." + route + "." + policy + "." + arrival + "@" + rate;
-}
-
-const FleetPointReport* RunReport::find_fleet_point(
-    const std::string& key) const {
-  for (const auto& p : fleet_points)
-    if (p.key() == key) return &p;
-  return nullptr;
-}
-
-std::string SchedPointReport::key() const {
-  char rate[32];
-  std::snprintf(rate, sizeof rate, "%g", rate_rps);
-  return mode + "." + scope + "." + group + "@" + rate;
-}
-
-const SchedPointReport* RunReport::find_sched_point(
-    const std::string& key) const {
-  for (const auto& p : sched_points)
-    if (p.key() == key) return &p;
-  return nullptr;
-}
-
 std::string FleetSchedPointReport::key() const {
   char rate[32];
   std::snprintf(rate, sizeof rate, "%g", rate_rps);
-  return mode + "." + route + "." + scope + "." + group + "@" + rate;
+  return strategy + "." + mode + "." + route + "." + scope + "." + group +
+         "@" + rate;
 }
 
 const FleetSchedPointReport* RunReport::find_fleet_sched_point(
@@ -241,11 +203,13 @@ Json to_json(const L2Report& r) {
   return j;
 }
 
-Json to_json(const ServePointReport& r) {
+Json to_json(const FleetSchedPointReport& r) {
   Json j = Json::object();
   j.set("strategy", Json(r.strategy));
-  j.set("policy", Json(r.policy));
-  j.set("arrival", Json(r.arrival));
+  j.set("mode", Json(r.mode));
+  j.set("route", Json(r.route));
+  j.set("scope", Json(r.scope));
+  j.set("group", Json(r.group));
   j.set("rate_rps", Json(r.rate_rps));
   j.set("offered", Json(r.offered));
   j.set("completed", Json(r.completed));
@@ -256,88 +220,6 @@ Json to_json(const ServePointReport& r) {
   j.set("shed", Json(r.shed));
   j.set("failovers", Json(r.failovers));
   j.set("degraded_s", Json(r.degraded_s));
-  j.set("batches", Json(r.batches));
-  j.set("mean_batch_size", Json(r.mean_batch_size));
-  j.set("drop_rate", Json(r.drop_rate));
-  j.set("throughput_rps", Json(r.throughput_rps));
-  j.set("goodput_rps", Json(r.goodput_rps));
-  j.set("utilization", Json(r.utilization));
-  j.set("mean_queue_depth", Json(r.mean_queue_depth));
-  j.set("max_queue_depth", Json(r.max_queue_depth));
-  j.set("p50_us", Json(r.p50_us));
-  j.set("p90_us", Json(r.p90_us));
-  j.set("p95_us", Json(r.p95_us));
-  j.set("p99_us", Json(r.p99_us));
-  return j;
-}
-
-Json to_json(const FleetPointReport& r) {
-  Json j = Json::object();
-  j.set("strategy", Json(r.strategy));
-  j.set("route", Json(r.route));
-  j.set("policy", Json(r.policy));
-  j.set("arrival", Json(r.arrival));
-  j.set("rate_rps", Json(r.rate_rps));
-  j.set("offered", Json(r.offered));
-  j.set("completed", Json(r.completed));
-  j.set("dropped", Json(r.dropped));
-  j.set("shed", Json(r.shed));
-  j.set("batches", Json(r.batches));
-  j.set("mean_batch_size", Json(r.mean_batch_size));
-  j.set("drop_rate", Json(r.drop_rate));
-  j.set("throughput_rps", Json(r.throughput_rps));
-  j.set("goodput_rps", Json(r.goodput_rps));
-  j.set("utilization", Json(r.utilization));
-  j.set("mean_queue_depth", Json(r.mean_queue_depth));
-  j.set("max_queue_depth", Json(r.max_queue_depth));
-  j.set("p50_us", Json(r.p50_us));
-  j.set("p90_us", Json(r.p90_us));
-  j.set("p95_us", Json(r.p95_us));
-  j.set("p99_us", Json(r.p99_us));
-  j.set("scale_ups", Json(r.scale_ups));
-  j.set("scale_downs", Json(r.scale_downs));
-  j.set("shard_util_min", Json(r.shard_util_min));
-  j.set("shard_util_max", Json(r.shard_util_max));
-  return j;
-}
-
-Json to_json(const SchedPointReport& r) {
-  Json j = Json::object();
-  j.set("mode", Json(r.mode));
-  j.set("scope", Json(r.scope));
-  j.set("group", Json(r.group));
-  j.set("rate_rps", Json(r.rate_rps));
-  j.set("offered", Json(r.offered));
-  j.set("completed", Json(r.completed));
-  j.set("dropped", Json(r.dropped));
-  j.set("preemptions", Json(r.preemptions));
-  j.set("model_swaps", Json(r.model_swaps));
-  j.set("swap_us", Json(r.swap_us));
-  j.set("batches", Json(r.batches));
-  j.set("mean_batch_size", Json(r.mean_batch_size));
-  j.set("drop_rate", Json(r.drop_rate));
-  j.set("throughput_rps", Json(r.throughput_rps));
-  j.set("goodput_rps", Json(r.goodput_rps));
-  j.set("utilization", Json(r.utilization));
-  j.set("mean_queue_depth", Json(r.mean_queue_depth));
-  j.set("max_queue_depth", Json(r.max_queue_depth));
-  j.set("p50_us", Json(r.p50_us));
-  j.set("p90_us", Json(r.p90_us));
-  j.set("p95_us", Json(r.p95_us));
-  j.set("p99_us", Json(r.p99_us));
-  return j;
-}
-
-Json to_json(const FleetSchedPointReport& r) {
-  Json j = Json::object();
-  j.set("mode", Json(r.mode));
-  j.set("route", Json(r.route));
-  j.set("scope", Json(r.scope));
-  j.set("group", Json(r.group));
-  j.set("rate_rps", Json(r.rate_rps));
-  j.set("offered", Json(r.offered));
-  j.set("completed", Json(r.completed));
-  j.set("dropped", Json(r.dropped));
   j.set("preemptions", Json(r.preemptions));
   j.set("model_swaps", Json(r.model_swaps));
   j.set("cold_swaps", Json(r.cold_swaps));
@@ -410,20 +292,11 @@ Json to_json(const RunReport& r) {
   Json l2 = Json::array();
   for (const auto& g : r.l2_runs) l2.push_back(to_json(g));
   j.set("l2_runs", std::move(l2));
-  Json serve = Json::array();
-  for (const auto& p : r.serve_points) serve.push_back(to_json(p));
-  j.set("serve_points", std::move(serve));
   Json gemm = Json::array();
   for (const auto& p : r.gemm_points) gemm.push_back(to_json(p));
   j.set("gemm_points", std::move(gemm));
-  Json fleet = Json::array();
-  for (const auto& p : r.fleet_points) fleet.push_back(to_json(p));
-  j.set("fleet_points", std::move(fleet));
-  Json sched = Json::array();
-  for (const auto& p : r.sched_points) sched.push_back(to_json(p));
-  j.set("sched_points", std::move(sched));
-  // Written only when present so pre-minor-9 baselines stay byte-for-byte
-  // reproducible without regeneration.
+  // Written only when present: reports of the paper figures carry no
+  // serving section.
   if (!r.fleet_sched_points.empty()) {
     Json fleet_sched = Json::array();
     for (const auto& p : r.fleet_sched_points)
@@ -480,17 +353,20 @@ StrategyReport strategy_from_json(const Json& j) {
   return r;
 }
 
-ServePointReport serve_point_from_json(const Json& j) {
-  ServePointReport r;
-  r.strategy = j.string_at("strategy");
-  r.policy = j.string_at("policy");
-  r.arrival = j.string_at("arrival");
+FleetSchedPointReport fleet_sched_point_from_json(const Json& j) {
+  FleetSchedPointReport r;
+  // Minor-10 additions: absent in older documents, defaulting to an empty
+  // strategy and the fault-free zeros.
+  if (const Json* s = j.find("strategy"); s != nullptr)
+    r.strategy = s->as_string();
+  r.mode = j.string_at("mode");
+  r.route = j.string_at("route");
+  r.scope = j.string_at("scope");
+  r.group = j.string_at("group");
   r.rate_rps = j.double_at("rate_rps");
   r.offered = j.uint_at("offered");
   r.completed = j.uint_at("completed");
   r.dropped = j.uint_at("dropped");
-  // Minor-4 additions: absent in pre-fault documents, defaulting to the
-  // fault-free zeros.
   if (j.contains("batch_failures"))
     r.batch_failures = j.uint_at("batch_failures");
   if (j.contains("retries")) r.retries = j.uint_at("retries");
@@ -498,88 +374,6 @@ ServePointReport serve_point_from_json(const Json& j) {
   if (j.contains("shed")) r.shed = j.uint_at("shed");
   if (j.contains("failovers")) r.failovers = j.uint_at("failovers");
   if (j.contains("degraded_s")) r.degraded_s = j.double_at("degraded_s");
-  r.batches = j.uint_at("batches");
-  r.mean_batch_size = j.double_at("mean_batch_size");
-  r.drop_rate = j.double_at("drop_rate");
-  r.throughput_rps = j.double_at("throughput_rps");
-  r.goodput_rps = j.double_at("goodput_rps");
-  r.utilization = j.double_at("utilization");
-  r.mean_queue_depth = j.double_at("mean_queue_depth");
-  r.max_queue_depth = j.uint_at("max_queue_depth");
-  r.p50_us = j.uint_at("p50_us");
-  r.p90_us = j.uint_at("p90_us");
-  r.p95_us = j.uint_at("p95_us");
-  r.p99_us = j.uint_at("p99_us");
-  return r;
-}
-
-FleetPointReport fleet_point_from_json(const Json& j) {
-  FleetPointReport r;
-  r.strategy = j.string_at("strategy");
-  r.route = j.string_at("route");
-  r.policy = j.string_at("policy");
-  r.arrival = j.string_at("arrival");
-  r.rate_rps = j.double_at("rate_rps");
-  r.offered = j.uint_at("offered");
-  r.completed = j.uint_at("completed");
-  r.dropped = j.uint_at("dropped");
-  r.shed = j.uint_at("shed");
-  r.batches = j.uint_at("batches");
-  r.mean_batch_size = j.double_at("mean_batch_size");
-  r.drop_rate = j.double_at("drop_rate");
-  r.throughput_rps = j.double_at("throughput_rps");
-  r.goodput_rps = j.double_at("goodput_rps");
-  r.utilization = j.double_at("utilization");
-  r.mean_queue_depth = j.double_at("mean_queue_depth");
-  r.max_queue_depth = j.uint_at("max_queue_depth");
-  r.p50_us = j.uint_at("p50_us");
-  r.p90_us = j.uint_at("p90_us");
-  r.p95_us = j.uint_at("p95_us");
-  r.p99_us = j.uint_at("p99_us");
-  r.scale_ups = j.uint_at("scale_ups");
-  r.scale_downs = j.uint_at("scale_downs");
-  r.shard_util_min = j.double_at("shard_util_min");
-  r.shard_util_max = j.double_at("shard_util_max");
-  return r;
-}
-
-SchedPointReport sched_point_from_json(const Json& j) {
-  SchedPointReport r;
-  r.mode = j.string_at("mode");
-  r.scope = j.string_at("scope");
-  r.group = j.string_at("group");
-  r.rate_rps = j.double_at("rate_rps");
-  r.offered = j.uint_at("offered");
-  r.completed = j.uint_at("completed");
-  r.dropped = j.uint_at("dropped");
-  r.preemptions = j.uint_at("preemptions");
-  r.model_swaps = j.uint_at("model_swaps");
-  r.swap_us = j.uint_at("swap_us");
-  r.batches = j.uint_at("batches");
-  r.mean_batch_size = j.double_at("mean_batch_size");
-  r.drop_rate = j.double_at("drop_rate");
-  r.throughput_rps = j.double_at("throughput_rps");
-  r.goodput_rps = j.double_at("goodput_rps");
-  r.utilization = j.double_at("utilization");
-  r.mean_queue_depth = j.double_at("mean_queue_depth");
-  r.max_queue_depth = j.uint_at("max_queue_depth");
-  r.p50_us = j.uint_at("p50_us");
-  r.p90_us = j.uint_at("p90_us");
-  r.p95_us = j.uint_at("p95_us");
-  r.p99_us = j.uint_at("p99_us");
-  return r;
-}
-
-FleetSchedPointReport fleet_sched_point_from_json(const Json& j) {
-  FleetSchedPointReport r;
-  r.mode = j.string_at("mode");
-  r.route = j.string_at("route");
-  r.scope = j.string_at("scope");
-  r.group = j.string_at("group");
-  r.rate_rps = j.double_at("rate_rps");
-  r.offered = j.uint_at("offered");
-  r.completed = j.uint_at("completed");
-  r.dropped = j.uint_at("dropped");
   r.preemptions = j.uint_at("preemptions");
   r.model_swaps = j.uint_at("model_swaps");
   r.cold_swaps = j.uint_at("cold_swaps");
@@ -675,28 +469,17 @@ RunReport run_report_from_json(const Json& j) {
   const Json& l2 = j.at("l2_runs");
   for (std::size_t i = 0; i < l2.size(); ++i)
     r.l2_runs.push_back(l2_from_json(l2[i]));
-  // Minor-2 addition: absent in older documents.
-  if (const Json* serve = j.find("serve_points"); serve != nullptr)
-    for (std::size_t i = 0; i < serve->size(); ++i)
-      r.serve_points.push_back(serve_point_from_json((*serve)[i]));
   // Minor-3 addition: absent in older documents.
   if (const Json* gemm = j.find("gemm_points"); gemm != nullptr)
     for (std::size_t i = 0; i < gemm->size(); ++i)
       r.gemm_points.push_back(gemm_point_from_json((*gemm)[i]));
-  // Minor-5 addition: absent in older documents.
-  if (const Json* fleet = j.find("fleet_points"); fleet != nullptr)
-    for (std::size_t i = 0; i < fleet->size(); ++i)
-      r.fleet_points.push_back(fleet_point_from_json((*fleet)[i]));
-  // Minor-7 addition: absent in older documents.
-  if (const Json* sched = j.find("sched_points"); sched != nullptr)
-    for (std::size_t i = 0; i < sched->size(); ++i)
-      r.sched_points.push_back(sched_point_from_json((*sched)[i]));
   // Minor-8 addition: absent in older documents.
   if (const Json* sim_loop = j.find("sim_loop_points"); sim_loop != nullptr)
     for (std::size_t i = 0; i < sim_loop->size(); ++i)
       r.sim_loop_points.push_back(sim_loop_point_from_json((*sim_loop)[i]));
-  // Minor-9 addition: absent in older documents (and in minor-9 documents
-  // from tools that carry no scheduled-fleet points).
+  // Minor-9 addition: absent in older documents (and in documents from
+  // tools that ran no serving sweep). The retired minor-2/5/7 serving
+  // sections of older documents are ignored.
   if (const Json* fs = j.find("fleet_sched_points"); fs != nullptr)
     for (std::size_t i = 0; i < fs->size(); ++i)
       r.fleet_sched_points.push_back(fleet_sched_point_from_json((*fs)[i]));

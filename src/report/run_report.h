@@ -29,20 +29,24 @@ inline constexpr int kSchemaVersion = 1;
 // documents written before a minor bump simply lack the added fields
 // (which all carry neutral defaults), so old baselines keep loading.
 //   minor 1: host_wall_seconds + threads (host-side perf trajectory).
-//   minor 2: serve_points (serving-simulator rate sweeps, src/serve).
+//   minor 2: single-server serving rate-sweep points (retired in 10).
 //   minor 3: gemm_points (host GEMM engine sweep, tensor/gemm_blocked.h).
-//   minor 4: serve fault metrics on serve_points (serve/faults.h).
-//   minor 5: fleet_points (sharded fleet sweeps, serve/cluster.h).
+//   minor 4: fault metrics on the minor-2 points (serve/faults.h).
+//   minor 5: sharded-fleet sweep points (retired in 10).
 //   minor 6: simd_level on gemm_points (tensor/simd_level.h) and the
 //            measured engine name joined into the gemm-point key.
-//   minor 7: sched_points (continuous-batching scheduler sweeps over the
-//            multi-model zoo, serve/sched).
+//   minor 7: scheduler sweep points over the multi-model zoo (retired
+//            in 10).
 //   minor 8: sim_loop_points (host-simulation-loop timing of the
 //            bit-packed SmSim vs the frozen SmSimRef, sim/sim_loop_timing).
 //   minor 9: fleet_sched_points (class-aware scheduled fleet sweeps — the
 //            sched and cluster tiers unified, serve/cluster.h
 //            simulate_fleet_sched).
-inline constexpr int kSchemaMinorVersion = 9;
+//   minor 10: strategy and fault counters on fleet_sched_points, now the
+//            one serving section; the minor-2/5/7 sections are gone
+//            (older documents still load, and those sections are
+//            ignored).
+inline constexpr int kSchemaMinorVersion = 10;
 
 // sim::SmStats with names instead of enum indices (only nonzero counters
 // are kept, so reports stay small and resilient to ISA growth).
@@ -92,124 +96,17 @@ struct L2Report {
   SmStatsReport total;
 };
 
-// One (strategy, arrival-rate) point of a serving-simulator rate sweep
-// (serve/server.h). Latencies are virtual microseconds; rates are
-// requests per virtual second. Identified for baseline matching by
-// (strategy, policy, arrival, rate_rps) — see key().
-struct ServePointReport {
-  std::string strategy;
-  std::string policy;
-  std::string arrival;
-  double rate_rps = 0.0;
-  std::uint64_t offered = 0;
-  std::uint64_t completed = 0;
-  std::uint64_t dropped = 0;
-  // Fault-injection accounting (schema minor 4; serve/metrics.h). All
-  // zero for fault-free sweeps and for pre-bump documents.
-  std::uint64_t batch_failures = 0;
-  std::uint64_t retries = 0;
-  std::uint64_t requeued = 0;
-  std::uint64_t shed = 0;
-  std::uint64_t failovers = 0;
-  double degraded_s = 0.0;
-  std::uint64_t batches = 0;
-  double mean_batch_size = 0.0;
-  double drop_rate = 0.0;
-  double throughput_rps = 0.0;
-  double goodput_rps = 0.0;
-  double utilization = 0.0;
-  double mean_queue_depth = 0.0;
-  std::uint64_t max_queue_depth = 0;
-  std::uint64_t p50_us = 0;
-  std::uint64_t p90_us = 0;
-  std::uint64_t p95_us = 0;
-  std::uint64_t p99_us = 0;
-
-  // Stable identity within a report, e.g. "VitBit.timeout.poisson@200".
-  std::string key() const;
-};
-
-// One (route-policy, arrival-rate) point of a fleet sweep
-// (serve/cluster.h). Latency percentiles are P²-sketch estimates unless
-// the sweep ran with exact percentiles. Identified for baseline matching
-// by (strategy, route, policy, arrival, rate_rps) — see key().
-struct FleetPointReport {
-  std::string strategy;
-  std::string route;    // serve::route_policy_name
-  std::string policy;   // batch flush policy
-  std::string arrival;
-  double rate_rps = 0.0;
-  std::uint64_t offered = 0;
-  std::uint64_t completed = 0;
-  std::uint64_t dropped = 0;
-  std::uint64_t shed = 0;
-  std::uint64_t batches = 0;
-  double mean_batch_size = 0.0;
-  double drop_rate = 0.0;
-  double throughput_rps = 0.0;
-  double goodput_rps = 0.0;
-  double utilization = 0.0;
-  double mean_queue_depth = 0.0;
-  std::uint64_t max_queue_depth = 0;
-  std::uint64_t p50_us = 0;
-  std::uint64_t p90_us = 0;
-  std::uint64_t p95_us = 0;
-  std::uint64_t p99_us = 0;
-  // Fleet-only signals: autoscale actions summed over shards and the
-  // spread of per-shard utilization (balance quality).
-  std::uint64_t scale_ups = 0;
-  std::uint64_t scale_downs = 0;
-  double shard_util_min = 0.0;
-  double shard_util_max = 0.0;
-
-  // Stable identity within a report, e.g. "VitBit.jsq.timeout.poisson@4000".
-  std::string key() const;
-};
-
-// One row of a continuous-batching scheduler sweep (serve/sched). Each
-// (mode, rate) sweep point expands to one aggregate row (scope "all",
-// group "all") plus one row per priority class (scope "class", group =
-// class name) and per zoo model (scope "model", group = model name).
-// Preemption/swap counters are whole-run totals carried on the "all" row
-// only. Identified for baseline matching by (mode, scope, group,
-// rate_rps) — see key().
-struct SchedPointReport {
-  std::string mode;   // fifo | cb | cb-pre
-  std::string scope;  // "all" | "class" | "model"
-  std::string group;  // "all", class name, or model name
-  double rate_rps = 0.0;
-  std::uint64_t offered = 0;
-  std::uint64_t completed = 0;
-  std::uint64_t dropped = 0;
-  std::uint64_t preemptions = 0;  // "all" rows only
-  std::uint64_t model_swaps = 0;  // "all" rows only
-  std::uint64_t swap_us = 0;      // "all" rows only
-  std::uint64_t batches = 0;
-  double mean_batch_size = 0.0;
-  double drop_rate = 0.0;
-  double throughput_rps = 0.0;
-  double goodput_rps = 0.0;
-  double utilization = 0.0;  // "all" rows only (members share replicas)
-  double mean_queue_depth = 0.0;
-  std::uint64_t max_queue_depth = 0;
-  std::uint64_t p50_us = 0;
-  std::uint64_t p90_us = 0;
-  std::uint64_t p95_us = 0;
-  std::uint64_t p99_us = 0;
-
-  // Stable identity within a report, e.g. "cb-pre.class.gold@400".
-  std::string key() const;
-};
-
-// One row of a class-aware scheduled-fleet sweep (serve/cluster.h
-// simulate_fleet_sched — the sched and cluster tiers unified; schema
-// minor 9). Each (mode, route, rate) sweep point expands like a sched
-// point: one aggregate row (scope "all", group "all") plus one row per
-// priority class and per zoo model. Whole-run counters — preemptions,
-// swaps, autoscale actions, utilization spread — ride the "all" row
-// only. Identified for baseline matching by (mode, route, scope, group,
-// rate_rps) — see key().
+// One row of a serving sweep (serve/cluster.h run_fleet_sched_sweep;
+// schema minor 9, strategy and fault counters minor 10). Each
+// (strategy, mode, route, rate) sweep point expands to one aggregate row
+// (scope "all", group "all") plus one row per priority class and per zoo
+// model. Whole-run counters — preemptions, swaps, autoscale actions,
+// utilization spread — ride the "all" row only. Latencies are virtual
+// microseconds; rates are requests per virtual second. Identified for
+// baseline matching by (strategy, mode, route, scope, group, rate_rps) —
+// see key().
 struct FleetSchedPointReport {
+  std::string strategy;  // empty in pre-minor-10 documents
   std::string mode;   // fifo | cb | cb-pre
   std::string route;  // serve::route_policy_name (jsq | warm | ...)
   std::string scope;  // "all" | "class" | "model"
@@ -218,6 +115,14 @@ struct FleetSchedPointReport {
   std::uint64_t offered = 0;
   std::uint64_t completed = 0;
   std::uint64_t dropped = 0;
+  // Fault-injection accounting (serve/faults.h), zero in fault-free runs
+  // and in pre-minor-10 documents.
+  std::uint64_t batch_failures = 0;
+  std::uint64_t retries = 0;
+  std::uint64_t requeued = 0;
+  std::uint64_t shed = 0;
+  std::uint64_t failovers = 0;
+  double degraded_s = 0.0;
   std::uint64_t preemptions = 0;  // "all" rows only
   std::uint64_t model_swaps = 0;  // "all" rows only
   std::uint64_t cold_swaps = 0;   // "all" rows only — the full-load subset
@@ -241,7 +146,8 @@ struct FleetSchedPointReport {
   double shard_util_min = 0.0;
   double shard_util_max = 0.0;
 
-  // Stable identity within a report, e.g. "cb-pre.warm.class.gold@400".
+  // Stable identity within a report, e.g.
+  // "VitBit.cb-pre.warm.class.gold@400".
   std::string key() const;
 };
 
@@ -313,20 +219,11 @@ struct RunReport {
   int threads = 0;
   std::vector<StrategyReport> strategies;
   std::vector<L2Report> l2_runs;
-  // Serving-simulator sweep points (schema minor 2; empty for reports
-  // that ran no serving simulation, and for pre-bump documents).
-  std::vector<ServePointReport> serve_points;
   // Host-GEMM engine sweep points (schema minor 3; empty for reports that
   // ran no host-GEMM measurement, and for pre-bump documents).
   std::vector<GemmPointReport> gemm_points;
-  // Fleet sweep points (schema minor 5; empty for reports that ran no
-  // fleet simulation, and for pre-bump documents).
-  std::vector<FleetPointReport> fleet_points;
-  // Scheduler sweep points (schema minor 7; empty for reports that ran
-  // no scheduler simulation, and for pre-bump documents).
-  std::vector<SchedPointReport> sched_points;
-  // Scheduled-fleet sweep points (schema minor 9; empty for reports that
-  // ran no scheduled-fleet simulation, and for pre-bump documents).
+  // Serving sweep points (schema minor 9; empty for reports that ran no
+  // serving simulation, and for pre-bump documents).
   std::vector<FleetSchedPointReport> fleet_sched_points;
   // Host-simulation-loop timing points (schema minor 8; empty for reports
   // that ran no sim-loop measurement, and for pre-bump documents).
@@ -334,15 +231,9 @@ struct RunReport {
 
   // nullptr when the report has no entry for `strategy`.
   const StrategyReport* find_strategy(const std::string& strategy) const;
-  // nullptr when the report has no serve point with this key().
-  const ServePointReport* find_serve_point(const std::string& key) const;
   // nullptr when the report has no gemm point with this key().
   const GemmPointReport* find_gemm_point(const std::string& key) const;
-  // nullptr when the report has no fleet point with this key().
-  const FleetPointReport* find_fleet_point(const std::string& key) const;
-  // nullptr when the report has no sched point with this key().
-  const SchedPointReport* find_sched_point(const std::string& key) const;
-  // nullptr when the report has no scheduled-fleet point with this key().
+  // nullptr when the report has no serving point with this key().
   const FleetSchedPointReport* find_fleet_sched_point(
       const std::string& key) const;
   // nullptr when the report has no sim-loop point with this key().
@@ -366,10 +257,7 @@ Json to_json(const SmStatsReport& r);
 Json to_json(const KernelReport& r);
 Json to_json(const StrategyReport& r);
 Json to_json(const L2Report& r);
-Json to_json(const ServePointReport& r);
 Json to_json(const GemmPointReport& r);
-Json to_json(const FleetPointReport& r);
-Json to_json(const SchedPointReport& r);
 Json to_json(const FleetSchedPointReport& r);
 Json to_json(const SimLoopPointReport& r);
 Json to_json(const RunReport& r);

@@ -1,150 +1,43 @@
-// Fleet tier of the serving simulator: many ShardSims (serve/server.h)
-// interleaved in one global virtual-time loop, fed by a Router
-// (serve/router.h) that picks a shard per arrival, with optional reactive
-// autoscaling per shard. This is where the single-node goodput story
-// scales out: the fleet sweep compares balancing policies (rr vs jsq vs
-// po2c) at rates and request counts no single replica could absorb.
+// The serving fleet and its sweep: many SchedSim shards (serve/sched)
+// interleaved in one global virtual-time loop (serve/fleet_loop.h), fed
+// by a Router (serve/router.h) that picks a shard per arrival, with
+// optional reactive autoscaling per shard. One shard with jsq routing is
+// the single server; more shards compare balancing policies (rr, jsq,
+// po2c, and model-affinity warm routing) at rates and request counts no
+// single replica could absorb. Every serving sweep, report, bench and
+// CLI subcommand runs through run_fleet_sched_sweep.
 //
-// Determinism contract, extended from serve/server.h: the fleet loop is
+// Determinism contract, extended from serve/sched: the fleet loop is
 // single-threaded per sweep point (live-load routing couples the shards,
 // so they cannot be simulated independently), shards step in index order
-// at every timestamp, router randomness is a pure function of
-// (seed, policy, request id), and per-shard percentile sketches merge in
-// shard-index order. Parallelism only fans out over sweep points through
-// ThreadPool::parallel_map, so fleet reports are byte-identical at every
-// --threads value.
+// at every timestamp, router decisions are pure functions of
+// (seed, policy, request id, live loads and warmth), and per-shard
+// percentile sketches merge in shard-index order. Parallelism only fans
+// out over sweep points through ThreadPool::parallel_map, so reports are
+// byte-identical at every --threads value.
 //
-// Memory contract: arrivals stream through WorkloadStream and latencies
-// stream through P² sketches (serve/sketch.h), so peak sink memory is
-// independent of the request count — 10^7-request sweep points run in the
-// same footprint as 10^3.
+// Memory contract: arrivals stream through MixedWorkloadStream and, in
+// kSketch mode, latencies stream through P² sketches (serve/sketch.h), so
+// peak sink memory is independent of the request count.
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
+#include "common/table.h"
+#include "report/run_report.h"
 #include "serve/router.h"
 #include "serve/sched/sched.h"
-#include "serve/server.h"
+
+namespace vitbit {
+class Cli;
+}
 
 namespace vitbit::serve {
 
-struct FleetConfig {
-  int num_shards = 4;
-  RoutePolicy route = RoutePolicy::kJsq;
-  // Seed of the router's per-request random streams (random / po2c).
-  std::uint64_t route_seed = 1;
-  // Per-shard server knobs. Each shard derives its own fault stream from
-  // shard.faults.seed and its shard index, so shards fail independently.
-  ServerConfig shard;
-  AutoscaleConfig autoscale;
-  PercentileMode percentiles = PercentileMode::kSketch;
-
-  void validate() const;
-};
-
-struct FleetMetrics {
-  // Span-weighted fleet aggregate (see aggregate_shard_metrics), with
-  // latency percentiles over all shards' completions: merged sketches in
-  // kSketch mode, exact nearest-rank over the concatenated samples in
-  // kExact mode.
-  ServeMetrics total;
-  std::vector<ServeMetrics> per_shard;
-  std::uint64_t scale_ups = 0;
-  std::uint64_t scale_downs = 0;
-  // Spread of per-shard utilization — the balance quality signal the
-  // policy comparison tables report.
-  double shard_util_min = 0.0;
-  double shard_util_max = 0.0;
-};
-
-// Aggregates per-shard metrics into one fleet-level ServeMetrics. Counts
-// add. Ratios are weighted by each shard's virtual-time span, never
-// averaged naively: utilization = sum busy / sum replica-time (a shard
-// that served twice as long counts twice as much) and mean queue depth =
-// sum depth-integral / sum shard spans. Rates divide by the fleet
-// makespan `end_us`. Latency percentiles are NOT filled in here — the
-// caller owns those (they need the shards' sketches or raw samples).
-// Exposed for fleet_test's two-shard unequal-duration case.
-ServeMetrics aggregate_shard_metrics(const std::vector<ServeMetrics>& shards,
-                                     std::uint64_t end_us);
-
-// Runs the fleet loop over one workload until fully drained. `latency`
-// must cover shard.batcher.max_batch_size; `fallback` follows the same
-// rules as simulate_server.
-FleetMetrics simulate_fleet(const WorkloadConfig& workload,
-                            const LatencyTable& latency,
-                            const FleetConfig& cfg,
-                            const LatencyTable* fallback = nullptr);
-
-// A (route-policy x arrival-rate) sweep over one model, strategy, and
-// fleet config — the fleet analogue of SweepConfig.
-struct FleetSweepConfig {
-  nn::VitConfig model;
-  core::StrategyConfig strategy_cfg;
-  core::Strategy strategy = core::Strategy::kVitBit;
-  std::vector<RoutePolicy> routes = {RoutePolicy::kRoundRobin,
-                                     RoutePolicy::kJsq, RoutePolicy::kPo2c};
-  std::vector<double> rates_rps = {2000, 4000, 8000};
-  // rate_rps is overridden per sweep point; kind/duration/seed are shared
-  // so every policy faces byte-identical request streams.
-  WorkloadConfig workload;
-  FleetConfig fleet;
-  // Degraded-mode strategy when fleet.shard.faults.degrade_below_live > 0.
-  core::Strategy fallback_strategy = core::Strategy::kTC;
-};
-
-struct FleetPoint {
-  RoutePolicy route = RoutePolicy::kJsq;
-  double rate_rps = 0.0;
-  FleetMetrics metrics;
-};
-
-// Phase 1 memoizes the strategy (and fallback) latency tables; phase 2
-// runs the fleet loop per (route, rate) point over `pool` in index order.
-std::vector<FleetPoint> run_fleet_sweep(const FleetSweepConfig& cfg,
-                                        const arch::OrinSpec& spec,
-                                        const arch::Calibration& calib,
-                                        ThreadPool* pool = nullptr);
-
-// Console rendering: one row per rate, goodput / p99 / drop / utilization
-// spread per route policy (column groups follow cfg.routes order).
-Table fleet_table(const FleetSweepConfig& cfg,
-                  const std::vector<FleetPoint>& points);
-
-// Shared flag set of fleet_sim and `vitbit_cli fleet`: the serve flags
-// (--layers, --rates/--rate, --arrival, --duration-s, --seed, --policy,
-// --max-batch, --batch-timeout-us, --queue-capacity, --slo-us, fault
-// knobs, --fallback) plus the fleet knobs: --shards, --routes/--route,
-// --route-seed, --strategy, --replicas (per-shard GPUs), --exact (exact
-// percentiles instead of P² sketches), and the autoscaling knobs
-// (--min-replicas, --max-replicas, --scale-interval-us, --scale-up-depth,
-// --scale-down-depth, --scale-p99-us, --scale-cooldown-us). Autoscaling
-// turns on when --max-replicas exceeds --min-replicas. Validates the
-// assembled config before returning.
-FleetSweepConfig fleet_config_from_cli(const Cli& cli);
-
-// Schema-versioned run report carrying one FleetPointReport per sweep
-// point plus the sweep's full knob set in meta (the baseline gate
-// requires meta to match exactly). host_wall_seconds is left 0.
-report::RunReport make_fleet_report(const FleetSweepConfig& cfg,
-                                    const std::vector<FleetPoint>& points,
-                                    const std::string& tool, int threads);
-
-// ---------------------------------------------------------------------------
-// Class-aware scheduled fleet: the sched and cluster tiers unified. Each
-// shard is a full SchedSim (any SchedMode, priority classes, per-replica
-// LRU weight caches, optional preemption-aware autoscaling) and the
-// shared fleet loop (serve/fleet_loop.h) interleaves them under the same
-// determinism contract as simulate_fleet: single-threaded global
-// virtual-time loop per sweep point, shards stepped in index order,
-// router decisions pure functions of (seed, policy, request id), and
-// cross-shard sketch merges in shard-index order.
-
 // How the model zoo is staged across shards before traffic:
 //   kNone    no prestaging — every shard starts cold, first load free
-//            (the pre-unification SchedSim behavior)
 //   kSpread  shard s prestages model (s mod num_models) on all its
 //            replicas — every model warm somewhere (when shards >=
 //            models), which the warm routing policy exploits to keep
@@ -158,11 +51,14 @@ PlacementPolicy placement_policy_from_name(const std::string& name);
 struct FleetSchedConfig {
   int num_shards = 4;
   RoutePolicy route = RoutePolicy::kJsq;
+  // Seed of the router's per-request random streams (random / po2c).
   std::uint64_t route_seed = 1;
   // Per-shard scheduler knobs; num_gpus is the per-shard replica count.
   // Every shard shares one immutable ModelRegistry (latency tables and
   // swap costs); all mutable model state — the LRU weight caches — lives
-  // inside each shard's replicas.
+  // inside each shard's replicas. Shard s draws its faults from seed
+  // shard.faults.seed + kSeedStride * (s + 1), so shards fail
+  // independently.
   SchedConfig shard;
   AutoscaleConfig autoscale;
   PlacementPolicy placement = PlacementPolicy::kNone;
@@ -187,29 +83,45 @@ struct FleetSchedMetrics {
   std::vector<SchedMetrics> per_shard;
   std::uint64_t scale_ups = 0;
   std::uint64_t scale_downs = 0;
+  // Spread of per-shard utilization over the shards that served — the
+  // balance quality signal the policy comparisons report.
   double shard_util_min = 0.0;
   double shard_util_max = 0.0;
 };
 
-// Runs the scheduled fleet over one mixed workload until drained. With
-// num_shards == 1, jsq routing, no autoscaling, and kNone placement this
-// reproduces simulate_sched exactly (fleet_sched_test pins it in all
-// three modes).
+// Aggregates per-shard metrics into one fleet-level ServeMetrics. Counts
+// add. Ratios are weighted by each shard's virtual-time span, never
+// averaged naively: utilization = sum busy / sum replica-time (a shard
+// that served twice as long counts twice as much) and mean queue depth =
+// sum depth-integral / sum shard spans. Rates divide by the fleet
+// makespan `end_us`. Latency percentiles are NOT filled in here — the
+// caller owns those (they need the shards' sketches or raw samples).
+ServeMetrics aggregate_shard_metrics(const std::vector<ServeMetrics>& shards,
+                                     std::uint64_t end_us);
+
+// Runs the fleet over one mixed workload until drained, checking request
+// conservation (offered == completed + dropped + shed) for the total,
+// every class and model, and every shard. With num_shards == 1, no
+// autoscaling, and kNone placement this reproduces simulate_sched with
+// the shard's derived fault seed.
 FleetSchedMetrics simulate_fleet_sched(const MixedWorkloadConfig& workload,
                                        const ModelRegistry& registry,
                                        const FleetSchedConfig& cfg);
 
-// A (mode x route x rate) sweep at fixed traffic mix — every point faces
-// the byte-identical request stream, so mode and route deltas are
-// scheduling and placement, never sampling.
+// A (strategy x mode x route x rate) sweep at fixed traffic mix — every
+// point faces the byte-identical request stream, so strategy, mode and
+// route deltas are kernels, scheduling and placement, never sampling.
 struct FleetSchedSweepConfig {
   std::vector<std::string> model_names = {"vit-tiny", "cnn-small"};
-  core::Strategy strategy = core::Strategy::kVitBit;
+  // Encoder depth of every layered zoo model (0 = the catalog depth).
+  int layers = 0;
+  std::vector<core::Strategy> strategies = {core::Strategy::kVitBit};
   std::vector<std::string> modes = {"fifo", "cb", "cb-pre"};
   std::vector<RoutePolicy> routes = {RoutePolicy::kJsq, RoutePolicy::kWarm};
   std::vector<double> rates_rps = {200, 400};
   // rate_rps/num_models are overridden per point / from model_names.
   MixedWorkloadConfig workload;
+  // fleet.shard.strategy and fleet.shard.mode are overridden per point.
   FleetSchedConfig fleet;
   SwapCostConfig swap;
 
@@ -217,37 +129,39 @@ struct FleetSchedSweepConfig {
 };
 
 struct FleetSchedPoint {
+  core::Strategy strategy = core::Strategy::kVitBit;
   std::string mode;
   RoutePolicy route = RoutePolicy::kJsq;
   double rate_rps = 0.0;
   FleetSchedMetrics metrics;
 };
 
-// Phase 1 builds the shared model registry; phase 2 fans the fleet loop
-// out over `pool` per (mode, route, rate) point in index order —
-// byte-identical results at every pool size.
+// Phase 1 builds one model registry covering every swept strategy (plus
+// the fallback when degraded-mode failover is on); phase 2 fans the
+// fleet loop out over `pool` per point in index order — byte-identical
+// results at every pool size.
 std::vector<FleetSchedPoint> run_fleet_sched_sweep(
     const FleetSchedSweepConfig& cfg, const arch::OrinSpec& spec,
     const arch::Calibration& calib, ThreadPool* pool = nullptr);
 
-// Console rendering: one row per (mode, route, rate) with goodput, p99,
-// drop rate, preemption / cold-swap counts, and the utilization spread.
+// Console rendering: one row per point with goodput, p99, drop and shed
+// rates, preemption / cold-swap counts, and the utilization spread.
 Table fleet_sched_table(const FleetSchedSweepConfig& cfg,
                         const std::vector<FleetSchedPoint>& points);
 
-// Shared flag set of bench/fleet_sched_sim and `vitbit_cli fleet-sched`:
-// all of sched_config_from_cli's zoo/traffic/scheduler flags (--num-gpus
-// is the per-shard replica count) plus the fleet knobs --shards,
-// --routes/--route, --route-seed, --placement (none|spread),
-// --cold-route-classes, and the autoscaling knobs (--min-replicas,
-// --max-replicas, --scale-interval-us, --scale-up-depth,
-// --scale-down-depth, --scale-p99-us, --scale-cooldown-us, plus the
-// preemption-aware --scale-preempt-per-s and --scale-slo-miss-rate).
-// Validates the assembled config before returning.
+// "100,200,400" -> {100, 200, 400}: positive finite rates (throws
+// CheckError otherwise, including on "inf" and entries that overflow
+// double).
+std::vector<double> parse_rate_list(const std::string& spec);
+
+// The one serving flag set, shared by bench/serve_sim and `vitbit_cli
+// serve` (README lists every flag). Validates the assembled config before
+// returning; list flags reject duplicate names, non-positive weights, and
+// non-finite mix fractions with clear errors.
 FleetSchedSweepConfig fleet_sched_config_from_cli(const Cli& cli);
 
-// Schema-versioned report (schema minor 9): per (mode, route, rate) one
-// aggregate "all" row plus one row per class and per model
+// Schema-versioned report (schema minor 10): per point one aggregate
+// "all" row plus one row per class and per model
 // (report::FleetSchedPointReport), with the sweep's full knob set in
 // meta. host_wall_seconds is left 0.
 report::RunReport make_fleet_sched_report(

@@ -2,11 +2,12 @@
 // failure/recovery schedules (MTBF/MTTR), transient per-batch failures,
 // and multiplicative latency spikes, all drawn from common/rng.h streams
 // so every fault lands at the same virtual microsecond on every host and
-// at every --threads value. The server loop (serve/server.h) consumes the
-// schedule as explicit events: a replica going down aborts its in-flight
-// batch, failed batches requeue through a bounded retry budget with
-// deadline-aware exponential backoff, and when live replicas fall below a
-// threshold the server fails over to a cheaper fallback latency table —
+// at every --threads value. The serving engine's fifo mode (serve/sched)
+// consumes the schedule as explicit events: a replica going down aborts
+// its in-flight batch, failed batches requeue through a bounded retry
+// budget with deadline-aware exponential backoff, and when live replicas
+// fall below a threshold the shard fails over to a cheaper fallback
+// strategy's latency tables —
 // the capacity-aware strategy selection VitBit motivates (falling back
 // between Tensor/INT/FP execution when one resource is saturated).
 #pragma once

@@ -32,6 +32,14 @@ std::uint64_t percentile_nearest_rank(std::vector<std::uint64_t> samples,
   return percentile_sorted(samples, p);
 }
 
+void check_conservation(const ServeMetrics& m, const std::string& scope) {
+  VITBIT_CHECK_MSG(m.offered == m.completed + m.dropped + m.shed,
+                   scope << " request conservation violated at drain: offered "
+                         << m.offered << " != completed " << m.completed
+                         << " + dropped " << m.dropped << " + shed "
+                         << m.shed);
+}
+
 MetricsSink::MetricsSink(PercentileMode mode, std::uint64_t slo_us)
     : mode_(mode), slo_us_(slo_us) {}
 

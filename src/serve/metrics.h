@@ -8,17 +8,17 @@
 // Two percentile modes:
 //   kExact   store every latency and sort once at finalize — exact
 //            nearest-rank percentiles, O(completed) memory. The
-//            single-server path (serve/server.h) and its committed
-//            baselines use this.
+//            single-server serving gates use this.
 //   kSketch  stream latencies through a P² sketch (serve/sketch.h) —
 //            estimated percentiles, O(1) memory independent of the
-//            request count. The fleet tier (serve/cluster.h) uses this so
-//            sweeps reach 10^7+ requests; serve_sketch_test bounds the
-//            estimation error against kExact.
+//            request count. Sweeps default to this so they reach 10^7+
+//            requests; serve_sketch_test bounds the estimation error
+//            against kExact.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "serve/sketch.h"
@@ -74,6 +74,10 @@ struct ServeMetrics {
   std::uint64_t batched_requests = 0;
   std::uint64_t end_us = 0;  // the makespan finalize() was given
 };
+
+// Request conservation at drain: offered == completed + dropped + shed.
+// Throws CheckError naming `scope` and the four counts otherwise.
+void check_conservation(const ServeMetrics& m, const std::string& scope);
 
 class MetricsSink {
  public:

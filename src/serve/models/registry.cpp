@@ -82,25 +82,31 @@ ZooEntry mixer_entry(const std::string& name, const nn::MixerConfig& cfg) {
   return e;
 }
 
-std::vector<ZooEntry> build_catalog() {
+// The catalog; `layers` > 0 overrides the depth of the layered entries.
+std::vector<ZooEntry> build_catalog(int layers) {
+  const auto deep = [layers](auto cfg) {
+    if (layers > 0) cfg.num_layers = layers;
+    return cfg;
+  };
   std::vector<ZooEntry> zoo;
-  zoo.push_back(vit_entry("vit-s", nn::vit_small(), false));
-  zoo.push_back(vit_entry("vit-b", nn::vit_base(), false));
-  zoo.push_back(vit_entry("vit-l", nn::vit_large(), false));
-  zoo.push_back(vit_entry("vit-b-int4", nn::vit_base(), true));
-  zoo.push_back(mixer_entry("mixer-s", nn::mixer_small()));
+  zoo.push_back(vit_entry("vit-s", deep(nn::vit_small()), false));
+  zoo.push_back(vit_entry("vit-b", deep(nn::vit_base()), false));
+  zoo.push_back(vit_entry("vit-l", deep(nn::vit_large()), false));
+  zoo.push_back(vit_entry("vit-b-int4", deep(nn::vit_base()), true));
+  zoo.push_back(mixer_entry("mixer-s", deep(nn::mixer_small())));
   zoo.push_back(cnn_entry("cnn-edge", nn::cnn_edge()));
-  zoo.push_back(vit_entry("vit-tiny", nn::vit_tiny(), false));
-  zoo.push_back(vit_entry("vit-tiny-int4", nn::vit_tiny(), true));
+  zoo.push_back(vit_entry("vit-tiny", deep(nn::vit_tiny()), false));
+  zoo.push_back(vit_entry("vit-tiny-int4", deep(nn::vit_tiny()), true));
   zoo.push_back(cnn_entry("cnn-small", nn::cnn_small()));
-  zoo.push_back(mixer_entry("mixer-tiny", nn::mixer_tiny()));
+  zoo.push_back(mixer_entry("mixer-tiny", deep(nn::mixer_tiny())));
   return zoo;
 }
 
 }  // namespace
 
-ZooEntry zoo_entry(const std::string& name) {
-  auto zoo = build_catalog();
+ZooEntry zoo_entry(const std::string& name, int layers) {
+  VITBIT_CHECK_MSG(layers >= 0, "layers must be >= 0, got " << layers);
+  auto zoo = build_catalog(layers);
   for (auto& e : zoo)
     if (e.name == name) return std::move(e);
   std::string known;
@@ -115,7 +121,7 @@ ZooEntry zoo_entry(const std::string& name) {
 
 std::vector<std::string> zoo_model_names() {
   std::vector<std::string> names;
-  for (const auto& e : build_catalog()) names.push_back(e.name);
+  for (const auto& e : build_catalog(0)) names.push_back(e.name);
   return names;
 }
 
@@ -130,10 +136,24 @@ ModelRegistry::ModelRegistry(const std::vector<std::string>& names,
                              const arch::OrinSpec& spec,
                              const arch::Calibration& calib, int max_batch,
                              const SwapCostConfig& swap, ThreadPool* pool)
-    : names_(names), strategy_(strategy), swap_(swap) {
+    : ModelRegistry(names, std::vector<core::Strategy>{strategy}, spec, calib,
+                    max_batch, swap, pool) {}
+
+ModelRegistry::ModelRegistry(const std::vector<std::string>& names,
+                             const std::vector<core::Strategy>& strategies,
+                             const arch::OrinSpec& spec,
+                             const arch::Calibration& calib, int max_batch,
+                             const SwapCostConfig& swap, ThreadPool* pool,
+                             int layers)
+    : names_(names), strategies_(strategies), swap_(swap) {
   VITBIT_CHECK_MSG(!names_.empty(), "model registry needs >= 1 model");
   VITBIT_CHECK(max_batch >= 1);
   swap_.validate();
+  for (std::size_t i = 0; i < strategies_.size(); ++i)
+    for (std::size_t j = i + 1; j < strategies_.size(); ++j)
+      VITBIT_CHECK_MSG(strategies_[i] != strategies_[j],
+                       "duplicate strategy: "
+                           << core::strategy_name(strategies_[i]));
   for (std::size_t i = 0; i < names_.size(); ++i)
     for (std::size_t j = i + 1; j < names_.size(); ++j)
       VITBIT_CHECK_MSG(names_[i] != names_[j],
@@ -141,15 +161,37 @@ ModelRegistry::ModelRegistry(const std::vector<std::string>& names,
   tables_.reserve(names_.size());
   cold_swap_us_.reserve(names_.size());
   for (const auto& name : names_) {
-    const ZooEntry entry = zoo_entry(name);
-    auto tables = build_latency_tables_from_logs(
-        entry.log_for_batch, {strategy_}, entry.strategy_cfg, spec, calib,
-        max_batch, pool);
-    tables_.push_back(std::move(tables.front()));
+    const ZooEntry entry = zoo_entry(name, layers);
+    tables_.push_back(build_latency_tables_from_logs(
+        entry.log_for_batch, strategies_, entry.strategy_cfg, spec, calib,
+        max_batch, pool));
     const auto us = std::llround(static_cast<double>(entry.weight_bytes) /
                                  (swap_.load_gbps * 1e3));
     cold_swap_us_.push_back(
         std::max<std::uint64_t>(1, static_cast<std::uint64_t>(us)));
+  }
+}
+
+ModelRegistry::ModelRegistry(const std::vector<std::string>& names,
+                             std::vector<std::vector<LatencyTable>> tables,
+                             const SwapCostConfig& swap)
+    : names_(names),
+      tables_(std::move(tables)),
+      cold_swap_us_(names.size(), 1),
+      swap_(swap) {
+  VITBIT_CHECK_MSG(!names_.empty(), "model registry needs >= 1 model");
+  VITBIT_CHECK_MSG(tables_.size() == names_.size(),
+                   tables_.size() << " table sets for " << names_.size()
+                                  << " models");
+  swap_.validate();
+  for (const auto& t : tables_.front()) strategies_.push_back(t.strategy);
+  for (const auto& per_model : tables_) {
+    VITBIT_CHECK_MSG(per_model.size() == strategies_.size() &&
+                         !strategies_.empty(),
+                     "every model needs one table per strategy");
+    for (std::size_t k = 0; k < per_model.size(); ++k)
+      VITBIT_CHECK_MSG(per_model[k].strategy == strategies_[k],
+                       "table strategies must line up across models");
   }
 }
 
@@ -160,7 +202,16 @@ const std::string& ModelRegistry::name(int m) const {
 
 const LatencyTable& ModelRegistry::table(int m) const {
   VITBIT_CHECK(m >= 0 && m < num_models());
-  return tables_[static_cast<std::size_t>(m)];
+  return tables_[static_cast<std::size_t>(m)].front();
+}
+
+const LatencyTable& ModelRegistry::table(int m, core::Strategy strategy) const {
+  VITBIT_CHECK(m >= 0 && m < num_models());
+  for (const auto& t : tables_[static_cast<std::size_t>(m)])
+    if (t.strategy == strategy) return t;
+  VITBIT_CHECK_MSG(false, "model registry has no "
+                              << core::strategy_name(strategy) << " tables");
+  return tables_.front().front();
 }
 
 int ModelRegistry::index_of(const std::string& name) const {

@@ -1,9 +1,10 @@
-// The multi-model zoo behind the scheduler tier (serve/sched): named
+// The multi-model zoo behind the serving engine (serve/sched): named
 // models — ViT variants, MLP-Mixer, the edge CNN, and int4-packed
 // variants riding VitBit's pack factor — each described by a per-batch
 // kernel-log builder, the strategy config it serves under, and its
-// weight footprint. A ModelRegistry memoizes one LatencyTable per model
-// through the shared build_latency_tables_from_logs helper, keeping
+// weight footprint. A ModelRegistry memoizes one LatencyTable per
+// (model, strategy) through the shared build_latency_tables_from_logs
+// helper, keeping
 // per-model latency fidelity grounded in the simulated kernels rather
 // than synthetic distributions, and prices cache-aware model swaps: a
 // replica switching to a model still resident in its weight cache pays a
@@ -15,7 +16,7 @@
 #include <string>
 #include <vector>
 
-#include "serve/server.h"
+#include "serve/latency.h"
 
 namespace vitbit::serve {
 
@@ -35,7 +36,10 @@ struct ZooEntry {
 // Catalog lookup; throws CheckError on an unknown name, listing the
 // catalog. Names: vit-s, vit-b, vit-l, vit-b-int4, mixer-s, cnn-edge,
 // plus the test-scale vit-tiny, vit-tiny-int4, cnn-small, mixer-tiny.
-ZooEntry zoo_entry(const std::string& name);
+// `layers` > 0 overrides the encoder depth of the ViT and mixer entries
+// (kernel log and weight bytes alike); the CNN entries keep their fixed
+// conv stack.
+ZooEntry zoo_entry(const std::string& name, int layers = 0);
 // The catalog, production-scale entries first.
 std::vector<std::string> zoo_model_names();
 
@@ -43,8 +47,7 @@ std::vector<std::string> zoo_model_names();
 // last `cache_models` served models resident (LRU); activating a cached
 // model costs warm_swap_us, a cold switch costs weight_bytes streamed at
 // load_gbps (>= 1 us). A replica's very first load is free — weights are
-// staged before traffic, exactly like the pre-scheduler single-model
-// server, which keeps single-model configs bit-identical to it.
+// staged before traffic, so a single-model config never pays a swap.
 struct SwapCostConfig {
   double load_gbps = 8.0;
   std::uint64_t warm_swap_us = 200;
@@ -53,22 +56,39 @@ struct SwapCostConfig {
   void validate() const;
 };
 
-// Memoized per-(model, batch-size) latency tables for a named subset of
-// the zoo under one serving strategy. Table construction fans out over
-// `pool` through build_latency_tables_from_logs per model and assembles
-// in catalog-argument order, so the registry is bit-identical at every
-// --threads value.
+// Memoized per-(model, strategy, batch-size) latency tables for a named
+// subset of the zoo. Construction makes one build_latency_tables_from_logs
+// call per model covering every strategy, fanned out over `pool` and
+// assembled in catalog-argument order, so the registry is bit-identical
+// at every --threads value.
 class ModelRegistry {
  public:
+  // One serving strategy.
   ModelRegistry(const std::vector<std::string>& names,
                 core::Strategy strategy, const arch::OrinSpec& spec,
                 const arch::Calibration& calib, int max_batch,
                 const SwapCostConfig& swap, ThreadPool* pool = nullptr);
+  // Several strategies (distinct); `layers` as in zoo_entry.
+  ModelRegistry(const std::vector<std::string>& names,
+                const std::vector<core::Strategy>& strategies,
+                const arch::OrinSpec& spec, const arch::Calibration& calib,
+                int max_batch, const SwapCostConfig& swap, ThreadPool* pool,
+                int layers = 0);
+  // Synthetic models with explicit tables (queueing studies and tests):
+  // tables[m] lists one table per strategy, in the same strategy order
+  // for every model. Synthetic weights are free to load, so a cold swap
+  // costs the 1 us floor.
+  ModelRegistry(const std::vector<std::string>& names,
+                std::vector<std::vector<LatencyTable>> tables,
+                const SwapCostConfig& swap = {});
 
   int num_models() const { return static_cast<int>(names_.size()); }
   const std::string& name(int m) const;
+  // The first strategy's table.
   const LatencyTable& table(int m) const;
-  core::Strategy strategy() const { return strategy_; }
+  // Checked lookup of `strategy`'s table.
+  const LatencyTable& table(int m, core::Strategy strategy) const;
+  const std::vector<core::Strategy>& strategies() const { return strategies_; }
   // Index of `name`; -1 when the registry does not hold it.
   int index_of(const std::string& name) const;
 
@@ -79,9 +99,9 @@ class ModelRegistry {
 
  private:
   std::vector<std::string> names_;
-  std::vector<LatencyTable> tables_;
+  std::vector<core::Strategy> strategies_;
+  std::vector<std::vector<LatencyTable>> tables_;  // [model][strategy]
   std::vector<std::uint64_t> cold_swap_us_;
-  core::Strategy strategy_ = core::Strategy::kVitBit;
   SwapCostConfig swap_;
 };
 

@@ -1,4 +1,4 @@
-// Request routing for the fleet tier (serve/cluster.h): picks the
+// Request routing for the serving fleet (serve/cluster.h): picks the
 // destination shard for each arrival under a pluggable balancing policy.
 // Every random draw comes from a per-request Rng seeded as a pure
 // function of (route seed, policy, request id), so routing decisions are
@@ -24,15 +24,14 @@ namespace vitbit::serve {
 //                the less-loaded wins (ties: lower index) — near-JSQ tail
 //                behavior at O(1) probe cost, the classic Mitzenmacher
 //                result the fleet sweep reproduces
-//   kWarm        model-affinity routing for the scheduled fleet
-//                (serve/cluster.h simulate_fleet_sched): jsq restricted
-//                to shards whose weight caches are warm for the
-//                request's model (interactive classes) or cold (batch
-//                classes, keeping them off the warm shards); falls back
-//                to plain jsq when no shard is eligible. Deterministic —
-//                no random draws. Through the mask-free route() overload
-//                (the classic fleet path has no warmth signal) it
-//                degrades to jsq exactly.
+//   kWarm        model-affinity routing (serve/cluster.h
+//                simulate_fleet_sched): jsq restricted to shards whose
+//                weight caches are warm for the request's model
+//                (interactive classes) or cold (batch classes, keeping
+//                them off the warm shards); falls back to plain jsq when
+//                no shard is eligible. Deterministic — no random draws.
+//                Through the mask-free route() overload (no warmth
+//                signal) it degrades to jsq exactly.
 enum class RoutePolicy { kRandom, kRoundRobin, kJsq, kPo2c, kWarm };
 
 const char* route_policy_name(RoutePolicy policy);
@@ -40,7 +39,7 @@ const char* route_policy_name(RoutePolicy policy);
 // otherwise.
 RoutePolicy route_policy_from_name(const std::string& name);
 // "rr,jsq,po2c" -> the parsed list; throws CheckError on empty entries or
-// unknown names — the --routes flag of fleet_sim and `vitbit_cli fleet`.
+// unknown names.
 std::vector<RoutePolicy> parse_route_list(const std::string& spec);
 
 class Router {
@@ -48,12 +47,12 @@ class Router {
   Router(RoutePolicy policy, std::uint64_t seed, int num_shards);
 
   // Destination shard for `req` given the current per-shard loads
-  // (queued + in-flight requests, ShardSim::load). `loads` must have one
+  // (queued + in-flight requests, SchedSim::load). `loads` must have one
   // entry per shard. kWarm has no warmth signal on this overload and
   // behaves as jsq.
   int route(const Request& req, const std::vector<std::size_t>& loads) const;
 
-  // Class-aware overload for the scheduled fleet: `warm[s]` is nonzero
+  // Class-aware overload: `warm[s]` is nonzero
   // when shard s holds the request's model weights (SchedSim::warm_for,
   // sampled live before each decision, like `loads`). Under kWarm the
   // shard is picked by jsq among the eligible shards — warm ones, or the

@@ -2,12 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <limits>
 
 #include "common/check.h"
-#include "common/cli.h"
-#include "common/thread_pool.h"
 #include "serve/fleet_loop.h"
 
 namespace vitbit::serve {
@@ -16,60 +13,50 @@ namespace {
 
 constexpr std::uint64_t kNever = std::numeric_limits<std::uint64_t>::max();
 
-std::string fmt_num(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%g", v);
-  return buf;
-}
-
 bool known_mode(const std::string& mode) {
   return mode == "fifo" || mode == "cb" || mode == "cb-pre";
 }
 
-// Comma-split without the uniqueness constraint of parse_name_list —
-// per-class arrival-kind lists legitimately repeat ("poisson,poisson").
-std::vector<std::string> split_list(const std::string& spec,
-                                    const char* what) {
-  std::vector<std::string> out;
-  std::size_t pos = 0;
-  while (pos <= spec.size()) {
-    const auto comma = spec.find(',', pos);
-    std::string item = spec.substr(
-        pos, comma == std::string::npos ? std::string::npos : comma - pos);
-    VITBIT_CHECK_MSG(!item.empty(),
-                     "empty entry in " << what << " list: " << spec);
-    out.push_back(std::move(item));
-    if (comma == std::string::npos) break;
-    pos = comma + 1;
-  }
-  return out;
-}
-
-std::string join_list(const std::vector<std::string>& items) {
-  std::string out;
-  for (const auto& s : items) {
-    if (!out.empty()) out += ",";
-    out += s;
-  }
-  return out;
-}
-
-std::string join_nums(const std::vector<double>& items) {
-  std::string out;
-  for (const double v : items) {
-    if (!out.empty()) out += ",";
-    out += fmt_num(v);
-  }
-  return out;
-}
-
 }  // namespace
+
+void AutoscaleConfig::validate() const {
+  VITBIT_CHECK_MSG(min_replicas >= 1, "min_replicas must be >= 1");
+  VITBIT_CHECK_MSG(max_replicas >= min_replicas,
+                   "max_replicas " << max_replicas << " below min_replicas "
+                                   << min_replicas);
+  if (!enabled()) return;
+  VITBIT_CHECK_MSG(interval_us >= 1, "autoscale interval must be >= 1 us");
+  VITBIT_CHECK_MSG(down_queue_depth <= up_queue_depth,
+                   "down_queue_depth " << down_queue_depth
+                                       << " above up_queue_depth "
+                                       << up_queue_depth
+                                       << " (hysteresis inverted)");
+  VITBIT_CHECK_MSG(std::isfinite(up_preempt_per_s) && up_preempt_per_s >= 0.0,
+                   "up_preempt_per_s must be finite and >= 0");
+  VITBIT_CHECK_MSG(std::isfinite(up_slo_miss_rate) && up_slo_miss_rate >= 0.0,
+                   "up_slo_miss_rate must be finite and >= 0");
+}
 
 void SchedConfig::validate() const {
   VITBIT_CHECK_MSG(known_mode(mode),
                    "unknown scheduler mode: " << mode
                                               << " (want fifo|cb|cb-pre)");
+  VITBIT_CHECK_MSG(policy == "greedy" || policy == "timeout",
+                   "unknown batching policy: " << policy
+                                               << " (want greedy|timeout)");
+  VITBIT_CHECK_MSG(batch_timeout_us >= 1, "batch_timeout_us must be >= 1");
+  faults.validate();
+  // User-level errors (no source location): both are flag combinations.
+  if (mode != "fifo" && policy != "greedy")
+    throw CheckError("the " + policy +
+                     " flush policy applies to fifo mode only, not " + mode);
+  if (mode != "fifo" && (faults.any_faults() || faults.degrade_below_live > 0))
+    throw CheckError("fault injection applies to fifo mode only, not " +
+                     mode);
   VITBIT_CHECK_MSG(num_gpus >= 1, "num_gpus must be >= 1");
+  VITBIT_CHECK_MSG(faults.degrade_below_live <= num_gpus,
+                   "degrade_below_live " << faults.degrade_below_live
+                                         << " exceeds num_gpus " << num_gpus);
   VITBIT_CHECK_MSG(max_batch >= 1, "max_batch must be >= 1");
   VITBIT_CHECK_MSG(queue_capacity >= 1, "queue_capacity must be >= 1");
   VITBIT_CHECK_MSG(iters >= 1, "iters must be >= 1");
@@ -89,9 +76,17 @@ SchedSim::SchedSim(const ModelRegistry& registry, const SchedConfig& cfg,
     : registry_(registry),
       cfg_(cfg),
       as_(autoscale),
+      fifo_(cfg.mode == "fifo"),
       preemptive_(cfg.mode == "cb-pre"),
+      timeout_(cfg.policy == "timeout"),
+      replica_faults_(cfg.faults.replica_mtbf_s > 0.0),
+      batch_faults_(cfg.faults.batch_failure_prob > 0.0 ||
+                    cfg.faults.latency_spike_prob > 0.0),
       replicas_(static_cast<std::size_t>(
           autoscale.enabled() ? autoscale.max_replicas : cfg.num_gpus)),
+      faults_(cfg.faults,
+              autoscale.enabled() ? autoscale.max_replicas : cfg.num_gpus),
+      policy_wake_us_(kNever),
       class_queues_(cfg.classes.size()),
       served_(cfg.classes.size(), 0),
       total_(percentiles,
@@ -108,12 +103,24 @@ SchedSim::SchedSim(const ModelRegistry& registry, const SchedConfig& cfg,
                  percentiles) {
   cfg_.validate();
   as_.validate();
-  for (int m = 0; m < registry_.num_models(); ++m)
-    VITBIT_CHECK_MSG(registry_.table(m).max_batch() >= cfg_.max_batch,
-                     "model " << registry_.name(m)
-                              << " latency table covers batches up to "
-                              << registry_.table(m).max_batch()
-                              << ", scheduler needs " << cfg_.max_batch);
+  if (as_.enabled())
+    VITBIT_CHECK_MSG(cfg_.faults.degrade_below_live <= as_.max_replicas,
+                     "degrade_below_live " << cfg_.faults.degrade_below_live
+                                           << " exceeds max_replicas "
+                                           << as_.max_replicas);
+  const bool degrade = cfg_.faults.degrade_below_live > 0;
+  for (int m = 0; m < registry_.num_models(); ++m) {
+    primary_.push_back(&registry_.table(m, cfg_.strategy));
+    fallback_.push_back(
+        degrade ? &registry_.table(m, cfg_.fallback_strategy) : nullptr);
+    for (const auto* t : {primary_.back(), fallback_.back()})
+      VITBIT_CHECK_MSG(t == nullptr || t->max_batch() >= cfg_.max_batch,
+                       "model " << registry_.name(m) << " "
+                                << core::strategy_name(t->strategy)
+                                << " latency table covers batches up to "
+                                << t->max_batch() << ", scheduler needs "
+                                << cfg_.max_batch);
+  }
   enabled_ = as_.enabled() ? std::clamp(cfg_.num_gpus, as_.min_replicas,
                                         as_.max_replicas)
                            : cfg_.num_gpus;
@@ -131,15 +138,23 @@ std::size_t SchedSim::total_depth() const {
 }
 
 void SchedSim::begin_step(std::uint64_t now) {
+  if (replica_faults_ || cfg_.faults.degrade_below_live > 0) step_faults(now);
   // Iteration (fifo: whole-batch) completions due at `now`, lowest
   // replica index first: record the executed iteration, then retire
   // residents whose last slice this was — against the total, class, and
-  // model sinks — leaving the replica at a boundary for dispatch().
+  // model sinks — leaving the replica at a boundary for dispatch(). A
+  // failed fifo batch sends every resident down the retry path instead.
   for (auto& rep : replicas_) {
     if (!rep.running || rep.iter_done_us > now) continue;
     total_.on_batch(rep.batch.size(), rep.iter_done_us - rep.iter_start_us);
     rep.running = false;
     touch(now);
+    if (rep.fail) {
+      fail_batch(now, rep.batch);
+      rep.batch.clear();
+      rep.fail = false;
+      continue;
+    }
     std::vector<Resident> keep;
     keep.reserve(rep.batch.size());
     for (auto& res : rep.batch) {
@@ -162,6 +177,83 @@ void SchedSim::begin_step(std::uint64_t now) {
   }
 }
 
+void SchedSim::step_faults(std::uint64_t now) {
+  // Replica fault transitions due at `now` (lowest index first). A
+  // replica going down aborts its in-flight batch onto the retry path;
+  // the partial busy time still counts against utilization. Disabled
+  // replicas keep their schedules ticking but never hold work.
+  const int capacity = static_cast<int>(replicas_.size());
+  for (int g = 0; g < capacity; ++g) {
+    while (faults_.next_transition_us(g) <= now) {
+      faults_.advance(g);
+      touch(now);
+      auto& rep = replicas_[static_cast<std::size_t>(g)];
+      if (!faults_.up(g) && rep.running) {
+        total_.on_batch(rep.batch.size(), now - rep.iter_start_us);
+        fail_batch(now, rep.batch);
+        rep.batch.clear();
+        rep.running = false;
+        rep.fail = false;
+      }
+    }
+  }
+  if (cfg_.faults.degrade_below_live > 0) {
+    const bool want = live_enabled() < cfg_.faults.degrade_below_live;
+    if (want && !degraded_) {
+      total_.on_failover();
+      degraded_ = true;
+      degraded_since_ = now;
+    } else if (!want && degraded_) {
+      total_.add_degraded_us(now - degraded_since_);
+      degraded_ = false;
+    }
+  }
+}
+
+void SchedSim::fail_batch(std::uint64_t t, const std::vector<Resident>& batch) {
+  // One batch failure on the total, and on every class and model the
+  // batch carried; then each resident either schedules its next attempt
+  // after exponential backoff or is shed when the budget or its class
+  // SLO deadline is exhausted.
+  total_.on_batch_failure();
+  std::vector<bool> cls_hit(per_class_.size(), false);
+  std::vector<bool> model_hit(per_model_.size(), false);
+  for (const auto& res : batch) {
+    Request r = res.req;
+    const auto c = static_cast<std::size_t>(r.cls);
+    const auto m = static_cast<std::size_t>(r.model);
+    auto& cls_sink = per_class_.at(c);
+    auto& model_sink = per_model_.at(m);
+    if (!cls_hit[c]) cls_sink.on_batch_failure();
+    if (!model_hit[m]) model_sink.on_batch_failure();
+    cls_hit[c] = true;
+    model_hit[m] = true;
+    const int attempt = r.attempt + 1;
+    const std::uint64_t ready =
+        attempt > cfg_.faults.max_retries ? kNever
+                                          : t + faults_.retry_delay_us(attempt);
+    if (ready == kNever || ready > r.arrival_us + cfg_.classes[c].slo_us) {
+      total_.on_shed();
+      cls_sink.on_shed();
+      model_sink.on_shed();
+      continue;
+    }
+    total_.on_retry();
+    cls_sink.on_retry();
+    model_sink.on_retry();
+    r.attempt = attempt;
+    retries_.push_back({ready, r});
+    std::push_heap(retries_.begin(), retries_.end(), RetryLater{});
+  }
+}
+
+int SchedSim::live_enabled() const {
+  int n = 0;
+  for (int g = 0; g < enabled_; ++g)
+    if (faults_.up(g)) ++n;
+  return n;
+}
+
 void SchedSim::admit(std::uint64_t now, const Request& r) {
   touch(now);
   VITBIT_CHECK_MSG(r.cls >= 0 &&
@@ -181,11 +273,35 @@ void SchedSim::admit(std::uint64_t now, const Request& r) {
     per_model_.at(static_cast<std::size_t>(r.model)).on_drop();
     return;
   }
-  if (cfg_.mode == "fifo")
+  if (fifo_)
     fifo_queue_.push_back(r);
   else
     class_queues_[static_cast<std::size_t>(r.cls)].push_back(r);
   total_.on_queue_depth(now, total_depth());
+}
+
+void SchedSim::admit_due_retries(std::uint64_t now) {
+  // A full queue sheds retries rather than dropping them — the request
+  // was already admitted once and now exits the system for good.
+  while (!retries_.empty() && retries_.front().ready_us <= now) {
+    std::pop_heap(retries_.begin(), retries_.end(), RetryLater{});
+    const Request r = retries_.back().req;
+    retries_.pop_back();
+    touch(now);
+    auto& cls_sink = per_class_.at(static_cast<std::size_t>(r.cls));
+    auto& model_sink = per_model_.at(static_cast<std::size_t>(r.model));
+    if (total_depth() < static_cast<std::size_t>(cfg_.queue_capacity)) {
+      fifo_queue_.push_back(r);
+      total_.on_requeue();
+      cls_sink.on_requeue();
+      model_sink.on_requeue();
+      total_.on_queue_depth(now, total_depth());
+    } else {
+      total_.on_shed();
+      cls_sink.on_shed();
+      model_sink.on_shed();
+    }
+  }
 }
 
 bool wrr_prefers(double weight_c, std::uint64_t served_c, double weight_b,
@@ -281,12 +397,17 @@ void SchedSim::activate_model(Replica& rep, int model) {
 }
 
 void SchedSim::start_iteration(Replica& rep, std::uint64_t now) {
-  const auto lat = registry_.table(rep.model).latency_us(rep.batch.size());
-  std::uint64_t busy =
-      cfg_.mode == "fifo"
-          ? lat
-          : std::max<std::uint64_t>(
-                1, lat / static_cast<std::uint64_t>(cfg_.iters));
+  const auto m = static_cast<std::size_t>(rep.model);
+  const LatencyTable& table = degraded_ ? *fallback_[m] : *primary_[m];
+  std::uint64_t busy = table.latency_us(rep.batch.size());
+  if (!fifo_) {
+    busy = std::max<std::uint64_t>(
+        1, busy / static_cast<std::uint64_t>(cfg_.iters));
+  } else if (batch_faults_) {
+    const auto fate = faults_.draw_batch_fate();
+    rep.fail = fate.fail;
+    if (fate.spike) busy = faults_.spiked_latency_us(busy);
+  }
   busy += rep.pending_swap_us;
   rep.pending_swap_us = 0;
   rep.running = true;
@@ -298,7 +419,7 @@ void SchedSim::start_iteration(Replica& rep, std::uint64_t now) {
 bool SchedSim::urgent(std::uint64_t now, const Request& r) const {
   // Would miss its class deadline even dispatched alone right now —
   // waiting one more round-robin turn cannot end well.
-  return now + registry_.table(r.model).latency_us(1) >
+  return now + primary_[static_cast<std::size_t>(r.model)]->latency_us(1) >
          r.arrival_us + cfg_.classes[static_cast<std::size_t>(r.cls)].slo_us;
 }
 
@@ -357,20 +478,34 @@ void SchedSim::fill_wrr(Replica& rep, std::uint64_t now) {
   }
 }
 
+bool SchedSim::policy_dispatches(std::uint64_t now) {
+  // timeout: flush a full batch, or a partial one once the oldest queued
+  // request has waited batch_timeout_us; otherwise wake at that deadline.
+  if (fifo_queue_.size() >= static_cast<std::size_t>(cfg_.max_batch))
+    return true;
+  const std::uint64_t deadline =
+      fifo_queue_.front().arrival_us + cfg_.batch_timeout_us;
+  if (now >= deadline) return true;
+  policy_wake_us_ = deadline;
+  return false;
+}
+
 void SchedSim::dispatch_fifo(std::uint64_t now) {
-  // The pre-scheduler baseline: whole same-model prefix batches onto
-  // idle replicas, lowest replica index first — the greedy flush policy
-  // of serve/batcher.h restated over per-model latency tables.
+  // Whole same-model prefix batches onto idle live replicas, lowest
+  // replica index first, while the flush policy agrees.
+  policy_wake_us_ = kNever;
   while (!fifo_queue_.empty()) {
     Replica* idle = nullptr;
     for (int g = 0; g < enabled_; ++g) {
       auto& rep = replicas_[static_cast<std::size_t>(g)];
-      if (rep.batch.empty() && !rep.running) {
+      if (rep.batch.empty() && !rep.running &&
+          (!replica_faults_ || faults_.up(g))) {
         idle = &rep;
         break;
       }
     }
     if (idle == nullptr) break;
+    if (timeout_ && !policy_dispatches(now)) break;
     const int model = fifo_queue_.front().model;
     std::vector<Resident> batch;
     while (!fifo_queue_.empty() && fifo_queue_.front().model == model &&
@@ -402,7 +537,7 @@ void SchedSim::dispatch_cb(std::uint64_t now) {
 }
 
 void SchedSim::dispatch(std::uint64_t now) {
-  if (cfg_.mode == "fifo")
+  if (fifo_)
     dispatch_fifo(now);
   else
     dispatch_cb(now);
@@ -415,9 +550,10 @@ void SchedSim::accrue_replica_time(std::uint64_t now) {
 }
 
 std::uint64_t SchedSim::cooldown_expiry_us(std::uint64_t t) const {
-  // Saturating t + cooldown, same contract as ShardSim: a near-uint64-max
-  // cooldown means "never scale again", not an overflow past zero that
-  // re-arms at the very next tick.
+  // Saturating t + cooldown: a near-uint64-max cooldown (for instance a
+  // negative CLI value wrapped through the unsigned cast) means "never
+  // scale again", not an overflow past zero that re-arms at the very next
+  // tick.
   return t > kNever - as_.cooldown_us ? kNever : t + as_.cooldown_us;
 }
 
@@ -473,7 +609,11 @@ void SchedSim::maybe_autoscale(std::uint64_t now) {
 }
 
 std::uint64_t SchedSim::next_timer_us() const {
-  return as_.enabled() ? next_autoscale_us_ : kNever;
+  std::uint64_t t = as_.enabled() ? next_autoscale_us_ : kNever;
+  if (replica_faults_)
+    for (int g = 0; g < faults_.num_replicas(); ++g)
+      t = std::min(t, faults_.next_transition_us(g));
+  return t;
 }
 
 std::size_t SchedSim::load() const {
@@ -515,20 +655,25 @@ const MetricsSink& SchedSim::model_sink(std::size_t m) const {
 }
 
 std::uint64_t SchedSim::next_internal_event_us() const {
-  std::uint64_t t = kNever;
+  std::uint64_t t = policy_wake_us_;
+  if (!retries_.empty()) t = std::min(t, retries_.front().ready_us);
   for (const auto& rep : replicas_)
     if (rep.running) t = std::min(t, rep.iter_done_us);
   return t;
 }
 
 bool SchedSim::idle() const {
-  if (total_depth() != 0) return false;
+  if (total_depth() != 0 || !retries_.empty()) return false;
   for (const auto& rep : replicas_)
     if (!rep.batch.empty()) return false;
   return true;
 }
 
 SchedMetrics SchedSim::finalize(std::uint64_t end_us) {
+  if (degraded_) {
+    total_.add_degraded_us(end_us - degraded_since_);
+    degraded_ = false;
+  }
   if (as_.enabled()) {
     // Exact available-replica-time under autoscaling; without it the
     // sink falls back to num_gpus * end_us (the fixed-pool case).
@@ -539,6 +684,12 @@ SchedMetrics SchedSim::finalize(std::uint64_t end_us) {
   m.total = total_.finalize(cfg_.num_gpus, end_us, cfg_.slo_us);
   m.per_class = per_class_.finalize(cfg_.num_gpus, end_us);
   m.per_model = per_model_.finalize(cfg_.num_gpus, end_us);
+  // Failover and degraded time are shard-wide: every scope saw them.
+  for (auto* group : {&m.per_class, &m.per_model})
+    for (auto& g : *group) {
+      g.failovers = m.total.failovers;
+      g.degraded_s = m.total.degraded_s;
+    }
   m.preemptions = preemptions_;
   m.model_swaps = model_swaps_;
   m.cold_swaps = cold_swaps_;
@@ -549,12 +700,10 @@ SchedMetrics SchedSim::finalize(std::uint64_t end_us) {
 namespace {
 
 // The one driving loop behind both simulate_sched overloads; `Source`
-// exposes has_next / peek_arrival_us / next (WorkloadStream shape).
-// Since the sched/cluster unification this is the shared fleet loop
-// degenerated to one shard and a constant route — the event sequence
-// (begin_step, admit arrivals, dispatch, advance) is identical to the
-// pre-unification scheduler loop, which the committed sched_sweep
-// baseline pins byte for byte.
+// exposes has_next / peek_arrival_us / next (WorkloadStream shape): the
+// shared fleet loop degenerated to one shard and a constant route. The
+// fault seed is used as given (simulate_fleet_sched derives one per
+// shard).
 template <typename Source>
 SchedMetrics drive_sched(Source& source, const ModelRegistry& registry,
                          const SchedConfig& cfg, PercentileMode percentiles) {
@@ -564,15 +713,11 @@ SchedMetrics drive_sched(Source& source, const ModelRegistry& registry,
       source, shards,
       [](const Request&, const std::vector<std::size_t>&) { return 0; });
   auto m = sim.finalize(end);
-  VITBIT_CHECK_MSG(m.total.offered == m.total.completed + m.total.dropped,
-                   "request conservation violated at drain: offered "
-                       << m.total.offered << " != completed "
-                       << m.total.completed << " + dropped "
-                       << m.total.dropped);
+  check_conservation(m.total, "total");
   for (std::size_t c = 0; c < m.per_class.size(); ++c)
-    VITBIT_CHECK_MSG(m.per_class[c].offered ==
-                         m.per_class[c].completed + m.per_class[c].dropped,
-                     "class " << c << " conservation violated at drain");
+    check_conservation(m.per_class[c], "class " + std::to_string(c));
+  for (std::size_t k = 0; k < m.per_model.size(); ++k)
+    check_conservation(m.per_model[k], "model " + std::to_string(k));
   return m;
 }
 
@@ -604,276 +749,6 @@ SchedMetrics simulate_sched(const MixedWorkloadConfig& workload,
                             PercentileMode percentiles) {
   MixedWorkloadStream stream(workload);
   return drive_sched(stream, registry, cfg, percentiles);
-}
-
-void SchedSweepConfig::validate() const {
-  VITBIT_CHECK_MSG(!model_names.empty(), "sweep needs >= 1 model");
-  VITBIT_CHECK_MSG(!modes.empty(), "sweep needs >= 1 mode");
-  for (const auto& m : modes)
-    VITBIT_CHECK_MSG(known_mode(m), "unknown scheduler mode: "
-                                        << m << " (want fifo|cb|cb-pre)");
-  VITBIT_CHECK_MSG(!rates_rps.empty(), "sweep needs >= 1 rate");
-  VITBIT_CHECK_MSG(workload.classes.size() == sched.classes.size(),
-                   "traffic classes (" << workload.classes.size()
-                                       << ") and scheduling classes ("
-                                       << sched.classes.size()
-                                       << ") must pair up");
-  sched.validate();
-  swap.validate();
-}
-
-std::vector<SchedPoint> run_sched_sweep(const SchedSweepConfig& cfg,
-                                        const arch::OrinSpec& spec,
-                                        const arch::Calibration& calib,
-                                        ThreadPool* pool) {
-  cfg.validate();
-  // Phase 1: one memoized latency table per zoo model, through the
-  // shared validated builder.
-  const ModelRegistry registry(cfg.model_names, cfg.strategy, spec, calib,
-                               cfg.sched.max_batch, cfg.swap, pool);
-  // Phase 2: the event loop per (mode, rate) point. The workload is
-  // regenerated per point from the shared seed, so every mode at one
-  // rate faces the byte-identical request stream.
-  const auto n_modes = cfg.modes.size();
-  const auto n_rates = cfg.rates_rps.size();
-  return parallel_map(pool, n_modes * n_rates, [&](std::size_t i) {
-    const std::size_t mi = i / n_rates;
-    const std::size_t r = i % n_rates;
-    MixedWorkloadConfig w = cfg.workload;
-    w.rate_rps = cfg.rates_rps[r];
-    w.num_models = static_cast<int>(cfg.model_names.size());
-    SchedConfig s = cfg.sched;
-    s.mode = cfg.modes[mi];
-    SchedPoint point;
-    point.mode = s.mode;
-    point.rate_rps = w.rate_rps;
-    point.metrics = simulate_sched(w, registry, s, cfg.percentiles);
-    return point;
-  });
-}
-
-Table sched_table(const SchedSweepConfig& cfg,
-                  const std::vector<SchedPoint>& points) {
-  Table t("continuous-batching scheduler — mode sweep over " +
-          join_list(cfg.model_names));
-  std::vector<std::string> header = {"mode",    "rate (req/s)", "goodput",
-                                     "p99 (ms)", "drop %",      "preempt",
-                                     "swaps"};
-  for (const auto& c : cfg.sched.classes)
-    header.push_back(c.name + " p99 (ms)");
-  t.header(std::move(header));
-  for (const auto& p : points) {
-    auto& row = t.row();
-    row.cell(p.mode)
-        .cell(p.rate_rps, 1)
-        .cell(p.metrics.total.goodput_rps, 1)
-        .cell(static_cast<double>(p.metrics.total.p99_us) / 1e3, 3)
-        .cell(p.metrics.total.drop_rate * 100.0, 2)
-        .cell(static_cast<double>(p.metrics.preemptions), 0)
-        .cell(static_cast<double>(p.metrics.model_swaps), 0);
-    for (const auto& cm : p.metrics.per_class)
-      row.cell(static_cast<double>(cm.p99_us) / 1e3, 3);
-  }
-  return t;
-}
-
-SchedSweepConfig sched_config_from_cli(const Cli& cli) {
-  SchedSweepConfig cfg;
-  cfg.model_names = parse_name_list(cli.get("models", "vit-b"), "model");
-
-  const std::string strat = cli.get("strategy", "VitBit");
-  bool found = false;
-  for (const auto s : core::all_strategies())
-    if (strat == core::strategy_name(s)) {
-      cfg.strategy = s;
-      found = true;
-      break;
-    }
-  VITBIT_CHECK_MSG(found, "unknown strategy: " << strat);
-
-  cfg.modes = parse_name_list(cli.get("modes", "fifo,cb,cb-pre"), "mode");
-  if (cli.has("rates"))
-    cfg.rates_rps = parse_rate_list(cli.get("rates", ""));
-  else if (cli.has("rate"))
-    cfg.rates_rps = {cli.get_double("rate", 0.0)};
-
-  const auto class_names =
-      parse_name_list(cli.get("classes", "default"), "class");
-  const auto n = class_names.size();
-  auto per_class = [&](const char* flag, std::vector<double> vals,
-                       const char* what) {
-    if (vals.size() == 1 && n > 1) vals.assign(n, vals[0]);
-    VITBIT_CHECK_MSG(vals.size() == n, "--" << flag << " has " << vals.size()
-                                            << " entries for " << n << " "
-                                            << what);
-    return vals;
-  };
-  const auto weights = per_class(
-      "weights", cli.has("weights") ? parse_weight_list(cli.get("weights", ""))
-                                    : std::vector<double>{1.0},
-      "classes");
-  const auto slos = per_class(
-      "slos-us",
-      cli.has("slos-us") ? parse_number_list(cli.get("slos-us", ""), "slo",
-                                             /*require_positive=*/true)
-                         : std::vector<double>{50000.0},
-      "classes");
-  const auto shares = per_class(
-      "shares",
-      cli.has("shares") ? parse_fraction_list(cli.get("shares", ""), "share")
-                        : std::vector<double>{1.0},
-      "classes");
-  auto arrivals = split_list(cli.get("arrivals", "poisson"), "arrival");
-  if (arrivals.size() == 1 && n > 1) arrivals.assign(n, arrivals[0]);
-  VITBIT_CHECK_MSG(arrivals.size() == n, "--arrivals has " << arrivals.size()
-                                                           << " entries for "
-                                                           << n
-                                                           << " classes");
-
-  cfg.sched.classes.clear();
-  cfg.workload.classes.clear();
-  const std::vector<double> shared_mix =
-      cli.has("mix") ? parse_fraction_list(cli.get("mix", ""), "mix")
-                     : std::vector<double>{};
-  for (std::size_t c = 0; c < n; ++c) {
-    ClassSpec spec;
-    spec.name = class_names[c];
-    spec.weight = weights[c];
-    spec.slo_us = static_cast<std::uint64_t>(std::llround(slos[c]));
-    cfg.sched.classes.push_back(std::move(spec));
-
-    ClassTraffic traffic;
-    traffic.kind = arrival_kind_from_name(arrivals[c]);
-    traffic.rate_share = shares[c];
-    traffic.burst_on_s = cli.get_double("burst-on-s", traffic.burst_on_s);
-    traffic.burst_off_s = cli.get_double("burst-off-s", traffic.burst_off_s);
-    const std::string mix_flag = "mix" + std::to_string(c);
-    if (cli.has(mix_flag))
-      traffic.model_mix = parse_fraction_list(cli.get(mix_flag, ""), "mix");
-    else
-      traffic.model_mix = shared_mix;
-    if (!traffic.model_mix.empty())
-      VITBIT_CHECK_MSG(traffic.model_mix.size() == cfg.model_names.size(),
-                       "class " << class_names[c] << " model mix has "
-                                << traffic.model_mix.size()
-                                << " entries for " << cfg.model_names.size()
-                                << " models");
-    cfg.workload.classes.push_back(std::move(traffic));
-  }
-
-  cfg.workload.duration_s = cli.get_double("duration-s", 2.0);
-  cfg.workload.seed = static_cast<std::uint64_t>(cli.get_int("seed", 42));
-
-  cfg.sched.max_batch = static_cast<int>(cli.get_int("max-batch", 8));
-  cfg.sched.queue_capacity =
-      static_cast<int>(cli.get_int("queue-capacity", 64));
-  cfg.sched.num_gpus = static_cast<int>(cli.get_int("num-gpus", 1));
-  cfg.sched.iters = static_cast<int>(cli.get_int("iters", 4));
-  cfg.sched.slo_us = static_cast<std::uint64_t>(cli.get_int("slo-us", 50000));
-
-  cfg.swap.cache_models = static_cast<int>(cli.get_int("cache-models", 1));
-  cfg.swap.load_gbps = cli.get_double("load-gbps", cfg.swap.load_gbps);
-  cfg.swap.warm_swap_us =
-      static_cast<std::uint64_t>(cli.get_int("warm-swap-us", 200));
-
-  cfg.percentiles = cli.get_bool("exact", false) ? PercentileMode::kExact
-                                                 : PercentileMode::kSketch;
-
-  cfg.validate();
-  return cfg;
-}
-
-report::RunReport make_sched_report(const SchedSweepConfig& cfg,
-                                    const std::vector<SchedPoint>& points,
-                                    const std::string& tool, int threads) {
-  report::RunReport rep;
-  rep.tool = tool;
-  rep.meta = report::build_metadata();
-  rep.meta["models"] = join_list(cfg.model_names);
-  rep.meta["strategy"] = core::strategy_name(cfg.strategy);
-  rep.meta["modes"] = join_list(cfg.modes);
-  {
-    std::vector<std::string> names, arrivals;
-    std::vector<double> weights, slos, shares;
-    for (const auto& c : cfg.sched.classes) {
-      names.push_back(c.name);
-      weights.push_back(c.weight);
-      slos.push_back(static_cast<double>(c.slo_us));
-    }
-    for (std::size_t c = 0; c < cfg.workload.classes.size(); ++c) {
-      const auto& t = cfg.workload.classes[c];
-      arrivals.push_back(arrival_kind_name(t.kind));
-      shares.push_back(t.rate_share);
-      rep.meta["mix" + std::to_string(c)] = join_nums(t.model_mix);
-    }
-    rep.meta["classes"] = join_list(names);
-    rep.meta["weights"] = join_nums(weights);
-    rep.meta["slos_us"] = join_nums(slos);
-    rep.meta["shares"] = join_nums(shares);
-    rep.meta["arrivals"] = join_list(arrivals);
-  }
-  rep.meta["duration_s"] = fmt_num(cfg.workload.duration_s);
-  rep.meta["seed"] = std::to_string(cfg.workload.seed);
-  rep.meta["max_batch"] = std::to_string(cfg.sched.max_batch);
-  rep.meta["queue_capacity"] = std::to_string(cfg.sched.queue_capacity);
-  rep.meta["num_gpus"] = std::to_string(cfg.sched.num_gpus);
-  rep.meta["iters"] = std::to_string(cfg.sched.iters);
-  rep.meta["slo_us"] = std::to_string(cfg.sched.slo_us);
-  rep.meta["cache_models"] = std::to_string(cfg.swap.cache_models);
-  rep.meta["load_gbps"] = fmt_num(cfg.swap.load_gbps);
-  rep.meta["warm_swap_us"] = std::to_string(cfg.swap.warm_swap_us);
-  rep.meta["percentiles"] =
-      cfg.percentiles == PercentileMode::kExact ? "exact" : "sketch";
-  rep.threads = threads;
-
-  auto fill = [](report::SchedPointReport& sp, const ServeMetrics& m) {
-    sp.offered = m.offered;
-    sp.completed = m.completed;
-    sp.dropped = m.dropped;
-    sp.batches = m.batches;
-    sp.mean_batch_size = m.mean_batch_size;
-    sp.drop_rate = m.drop_rate;
-    sp.throughput_rps = m.throughput_rps;
-    sp.goodput_rps = m.goodput_rps;
-    sp.mean_queue_depth = m.mean_queue_depth;
-    sp.max_queue_depth = m.max_queue_depth;
-    sp.p50_us = m.p50_us;
-    sp.p90_us = m.p90_us;
-    sp.p95_us = m.p95_us;
-    sp.p99_us = m.p99_us;
-  };
-  for (const auto& p : points) {
-    report::SchedPointReport all;
-    all.mode = p.mode;
-    all.scope = "all";
-    all.group = "all";
-    all.rate_rps = p.rate_rps;
-    fill(all, p.metrics.total);
-    all.utilization = p.metrics.total.utilization;
-    all.preemptions = p.metrics.preemptions;
-    all.model_swaps = p.metrics.model_swaps;
-    all.swap_us = p.metrics.swap_us;
-    rep.sched_points.push_back(std::move(all));
-    for (std::size_t c = 0; c < p.metrics.per_class.size(); ++c) {
-      report::SchedPointReport sp;
-      sp.mode = p.mode;
-      sp.scope = "class";
-      sp.group = cfg.sched.classes[c].name;
-      sp.rate_rps = p.rate_rps;
-      fill(sp, p.metrics.per_class[c]);
-      rep.sched_points.push_back(std::move(sp));
-    }
-    for (std::size_t m = 0; m < p.metrics.per_model.size(); ++m) {
-      report::SchedPointReport sp;
-      sp.mode = p.mode;
-      sp.scope = "model";
-      sp.group = cfg.model_names[m];
-      sp.rate_rps = p.rate_rps;
-      fill(sp, p.metrics.per_model[m]);
-      rep.sched_points.push_back(std::move(sp));
-    }
-  }
-  return rep;
 }
 
 }  // namespace vitbit::serve

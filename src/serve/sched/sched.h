@@ -1,13 +1,17 @@
-// Continuous-batching scheduler with priority classes over the multi-
-// model zoo (serve/models): the tier above the single-model batcher.
-// Three scheduling modes, compared at identical offered traffic:
+// The serving engine: a scheduler with priority classes over the
+// multi-model zoo (serve/models). One SchedSim is one shard — a replica
+// pool behind one admission queue — and the fleet loop
+// (serve/fleet_loop.h) drives one of them (simulate_sched) or many
+// behind a router (serve/cluster.h simulate_fleet_sched). Three
+// scheduling modes, compared at identical offered traffic:
 //
-//   fifo    the pre-scheduler baseline restated: one arrival-order queue,
-//           head-of-line same-model prefix batches, whole-batch latency,
-//           priorities ignored. With the all-default SchedConfig (one
-//           class, one model) this reproduces simulate_server with the
-//           "greedy" flush policy bit for bit — the pin sched_test
-//           asserts.
+//   fifo    one arrival-order queue, head-of-line same-model prefix
+//           batches, whole-batch latency, priorities ignored. Only fifo
+//           supports the "timeout" flush policy and fault injection
+//           (serve/faults.h): seeded replica failures, transient batch
+//           failures and latency spikes, bounded retries with
+//           deadline-aware backoff, shedding, and degraded-mode failover
+//           to a fallback strategy's latency tables.
 //   cb      continuous batching: a batch executes iteration by iteration
 //           (a batch's latency splits into `iters` equal slices), and at
 //           every iteration boundary finished requests leave while queued
@@ -24,13 +28,17 @@
 // Replicas keep an LRU cache of model weights; switching an (idle)
 // replica to an uncached model charges the registry's cold-swap time,
 // a cached switch the warm activation (a replica's first load is free —
-// weights are staged before traffic, matching the single-model tiers).
+// weights are staged before traffic).
 //
-// Determinism contract: identical to serve/server.h — integer virtual
-// microseconds, fixed event order (iteration completions by replica
-// index, admissions in arrival order, then dispatch by replica index),
-// sweeps fan out over ThreadPool::parallel_map in point-index order —
-// so a sweep serializes to byte-identical reports at every --threads.
+// Determinism contract: all virtual time is integer microseconds, event
+// ties resolve in a fixed order (replica fault transitions, then
+// iteration completions by replica index, autoscale decisions,
+// admissions in arrival order, due retries in (ready, id) order, then
+// dispatch by replica index), and sweeps fan out over
+// ThreadPool::parallel_map in point-index order — so a sweep serializes
+// to byte-identical reports at every --threads. Fault events are seeded
+// draws inside this single-threaded loop, and with every fault rate at
+// zero no fault stream is consumed.
 #pragma once
 
 #include <cstdint>
@@ -38,10 +46,48 @@
 #include <string>
 #include <vector>
 
+#include "serve/faults.h"
+#include "serve/metrics.h"
 #include "serve/models/registry.h"
-#include "serve/server.h"
+#include "serve/workload.h"
 
 namespace vitbit::serve {
+
+// Reactive per-shard autoscaling: every interval_us of virtual time a
+// shard compares its queue depth (and optionally its running p99, per-
+// class preemption rate, and per-class SLO-miss rate) against the
+// thresholds and grows or shrinks its enabled-replica window within
+// [min, max]. Hysteresis comes from the up/down threshold gap plus a
+// cooldown after every action; scale-downs only retire an idle replica,
+// so in-flight batches are never aborted by the autoscaler (only by
+// faults). Replica fault schedules keep ticking for disabled replicas —
+// a scaled-up replica can arrive already down, exactly like a real node
+// joining from a bad pool.
+struct AutoscaleConfig {
+  int min_replicas = 1;
+  // max_replicas == min_replicas disables autoscaling (the shard runs a
+  // fixed SchedConfig::num_gpus pool).
+  int max_replicas = 1;
+  std::uint64_t interval_us = 50000;  // evaluation cadence, virtual us
+  // Scale up when queue depth exceeds up_queue_depth, or (when
+  // up_p99_us > 0) the total sink's running p99 exceeds up_p99_us. Scale
+  // down when depth is at or below down_queue_depth.
+  std::size_t up_queue_depth = 16;
+  std::size_t down_queue_depth = 2;
+  std::uint64_t up_p99_us = 0;
+  std::uint64_t cooldown_us = 200000;  // min virtual time between actions
+  // Preemption-aware scale-up signals, evaluated per priority class over
+  // the last decision interval. 0 disables a signal.
+  //   up_preempt_per_s   scale up when any class's preemption rate
+  //                      (victims per virtual second) exceeds this
+  //   up_slo_miss_rate   scale up when any class's completed-request
+  //                      SLO-miss fraction (0..1) exceeds this
+  double up_preempt_per_s = 0.0;
+  double up_slo_miss_rate = 0.0;
+
+  bool enabled() const { return max_replicas > min_replicas; }
+  void validate() const;
+};
 
 // One priority class's scheduling contract. Lower class index = higher
 // priority (class 0 preempts class 2, never the reverse); the weights
@@ -54,6 +100,19 @@ struct ClassSpec {
 
 struct SchedConfig {
   std::string mode = "fifo";  // fifo | cb | cb-pre
+  // Flush policy (fifo only), consulted whenever a replica is idle and
+  // requests are queued:
+  //   greedy   dispatch at once with whatever is queued (up to max_batch)
+  //   timeout  dispatch a full batch, or a partial one once the oldest
+  //            queued request has waited batch_timeout_us; otherwise wait
+  std::string policy = "greedy";
+  std::uint64_t batch_timeout_us = 2000;
+  // Strategy whose latency tables the replicas run (must be one of the
+  // registry's strategies), and the degraded-mode fallback strategy used
+  // while faults.degrade_below_live > 0 and fewer enabled replicas than
+  // that are up.
+  core::Strategy strategy = core::Strategy::kVitBit;
+  core::Strategy fallback_strategy = core::Strategy::kTC;
   int num_gpus = 1;
   int max_batch = 8;
   // Shared admission bound across all class queues (total queued
@@ -68,15 +127,21 @@ struct SchedConfig {
   std::vector<ClassSpec> classes = {ClassSpec{}};
   // Goodput latency target of the aggregate (all-classes) sink.
   std::uint64_t slo_us = 50000;
+  // Fault injection (fifo only; all off by default). A failed request's
+  // retry deadline is its class SLO.
+  FaultConfig faults;
 
+  // Rejects faults and the timeout policy outside fifo mode.
   void validate() const;
 };
 
 // Aggregate plus per-class and per-model breakdowns. Vector order follows
 // SchedConfig::classes / the registry's model order. Request conservation
-// (offered == completed + dropped) holds for the total and per class;
-// preempted residents are neither dropped nor shed — they requeue and
-// finish.
+// (offered == completed + dropped + shed) holds for the total, per class,
+// and per model; preempted residents are neither dropped nor shed — they
+// requeue and finish. Fault counters land on every scope a request
+// touches; failovers and degraded time are shard-wide and repeat on every
+// per-class and per-model row.
 struct SchedMetrics {
   ServeMetrics total;
   std::vector<ServeMetrics> per_class;
@@ -87,58 +152,59 @@ struct SchedMetrics {
   std::uint64_t swap_us = 0;      // total virtual time spent swapping
 };
 
-// One scheduler instance over a model registry, driven by simulate_sched
-// (one instance) or simulate_fleet_sched (one instance per shard) through
-// the shared fleet loop (serve/fleet_loop.h) in the fixed step order of
-// the determinism contract. The registry must outlive the sim and cover
-// SchedConfig::max_batch for every model.
+// One shard over a model registry, driven by simulate_sched (one
+// instance) or simulate_fleet_sched (one instance per shard) through the
+// shared fleet loop (serve/fleet_loop.h) in the fixed step order of the
+// determinism contract. The registry must outlive the sim and cover
+// SchedConfig::max_batch for every model, under SchedConfig::strategy
+// (and fallback_strategy when degraded-mode failover is on).
 //
-// Promoted to the full shard surface the fleet loop drives: with an
-// enabled AutoscaleConfig the replica pool sizes to max_replicas and an
-// enabled-replica window [0, enabled) grows and shrinks on the decision
-// grid — scale up on queue depth, running p99, per-class preemption
-// rate, or per-class SLO-miss rate (the preemption-aware signals of
-// AutoscaleConfig::up_preempt_per_s / up_slo_miss_rate); scale down only
-// retires a replica that is neither running nor holding residents. The
-// default (disabled) config reproduces the fixed num_gpus pool bit for
-// bit — the committed sched_sweep baseline pins that.
+// With an enabled AutoscaleConfig the replica pool sizes to max_replicas
+// and an enabled-replica window [0, enabled) grows and shrinks on the
+// decision grid; scale down only retires a replica that is neither
+// running nor holding residents.
 class SchedSim {
  public:
   SchedSim(const ModelRegistry& registry, const SchedConfig& cfg,
            PercentileMode percentiles = PercentileMode::kExact,
            const AutoscaleConfig& autoscale = {});
 
-  // Iteration/batch completions due at `now`, lowest replica index first:
-  // per-iteration busy time is recorded, finished residents complete
-  // against the total, their class, and their model sinks, and the
-  // replica is left at a boundary for dispatch() to refill or idle.
+  // Replica fault transitions due at `now` (lowest replica first; a
+  // replica going down aborts its in-flight batch onto the retry path)
+  // and degraded-mode bookkeeping, then iteration/batch completions due
+  // at `now`, lowest replica index first: per-iteration busy time is
+  // recorded, finished residents complete against the total, their
+  // class, and their model sinks (a failed batch's residents take the
+  // retry path instead), and the replica is left at a boundary for
+  // dispatch() to refill or idle.
   void begin_step(std::uint64_t now);
   // Admits one fresh arrival into its class queue (fifo mode: the single
   // arrival-order queue), with drop-on-full accounting against the
   // shared capacity.
   void admit(std::uint64_t now, const Request& r);
   // Fills replicas, lowest index first: fifo dispatches whole same-model
-  // prefix batches onto idle replicas; cb additionally joins queued
-  // requests into batches standing at an iteration boundary; cb-pre
-  // admits urgent requests first and preempts when full.
+  // prefix batches onto idle live replicas while the flush policy
+  // agrees; cb additionally joins queued requests into batches standing
+  // at an iteration boundary; cb-pre admits urgent requests first and
+  // preempts when full.
   void dispatch(std::uint64_t now);
 
   // Autoscale evaluation when `now` lands on the interval grid: catches
   // up tick by tick, applying at most one action per tick outside the
   // cooldown window. No-op when autoscaling is disabled.
   void maybe_autoscale(std::uint64_t now);
-  // No retry path in this tier (retries belong to the fault-injecting
-  // classic fleet); the hook exists so the shared fleet loop can drive
-  // both shard kinds through one code path.
-  void admit_due_retries(std::uint64_t /*now*/) {}
+  // Requeues retries whose backoff elapsed, in (ready, id) order; a full
+  // queue sheds them.
+  void admit_due_retries(std::uint64_t now);
 
-  // Next iteration/batch completion across replicas (kNever when none).
+  // Next iteration/batch completion, due retry, or flush-policy wake-up
+  // (kNever when none).
   std::uint64_t next_internal_event_us() const;
-  // Next autoscale decision tick (kNever when autoscaling is disabled) —
-  // keeps the fleet loop alive across idle stretches only while work
-  // remains somewhere.
+  // Next replica fault transition or autoscale decision tick (kNever when
+  // neither is enabled) — keeps the fleet loop alive across idle
+  // stretches only while work remains somewhere.
   std::uint64_t next_timer_us() const;
-  // No queued or resident work anywhere.
+  // No queued, retrying, or resident work anywhere.
   bool idle() const;
   // Queued plus resident (in-batch) requests — the live signal the
   // fleet router balances on.
@@ -157,6 +223,7 @@ class SchedSim {
   // model charges a real cold swap.
   void prestage(int model);
 
+  int enabled_replicas() const { return enabled_; }
   std::uint64_t scale_ups() const { return scale_ups_; }
   std::uint64_t scale_downs() const { return scale_downs_; }
   // Sink access for the fleet tier's cross-shard percentile merges
@@ -165,8 +232,8 @@ class SchedSim {
   const MetricsSink& class_sink(std::size_t c) const;
   const MetricsSink& model_sink(std::size_t m) const;
 
-  // Closes the sinks at `end_us`. Call exactly once, after the driving
-  // loop drains.
+  // Closes the degraded-time and replica-time integrals and the sinks at
+  // `end_us`. Call exactly once, after the driving loop drains.
   SchedMetrics finalize(std::uint64_t end_us);
 
  private:
@@ -180,6 +247,7 @@ class SchedSim {
     std::vector<Resident> batch;
     int model = -1;  // currently loaded model; -1 = nothing loaded yet
     bool running = false;       // an iteration is in flight
+    bool fail = false;          // the in-flight batch's predrawn fate
     std::uint64_t iter_start_us = 0;
     std::uint64_t iter_done_us = 0;
     // Swap time charged at activation, consumed by the next iteration.
@@ -187,7 +255,27 @@ class SchedSim {
     std::vector<int> cache;  // LRU over model ids, most recent at back
   };
 
+  // Requeue scheduled after retry backoff; a min-heap keyed on
+  // (ready time, request id) keeps the requeue order deterministic.
+  struct RetryEntry {
+    std::uint64_t ready_us = 0;
+    Request req;
+  };
+  struct RetryLater {
+    bool operator()(const RetryEntry& a, const RetryEntry& b) const {
+      if (a.ready_us != b.ready_us) return a.ready_us > b.ready_us;
+      return a.req.id > b.req.id;
+    }
+  };
+
   std::size_t total_depth() const;
+  // Fault path: transitions and degraded bookkeeping at `now`, and the
+  // retry budget for a failed or aborted batch's residents.
+  void step_faults(std::uint64_t now);
+  void fail_batch(std::uint64_t t, const std::vector<Resident>& batch);
+  int live_enabled() const;
+  // Whether fifo's flush policy dispatches now; otherwise arms the wake.
+  bool policy_dispatches(std::uint64_t now);
   // Smooth-WRR pick among classes whose head request can join a model-m
   // batch (m < 0: any nonempty class); -1 when none is eligible.
   int pick_class(int model) const;
@@ -214,8 +302,21 @@ class SchedSim {
   const ModelRegistry& registry_;
   SchedConfig cfg_;
   AutoscaleConfig as_;
+  bool fifo_ = true;
   bool preemptive_ = false;
+  bool timeout_ = false;        // fifo's timeout flush policy
+  bool replica_faults_ = false;  // replica up/down schedules are live
+  bool batch_faults_ = false;    // batch failures or spikes are drawn
+  // Per-model latency tables under the serving and fallback strategies
+  // (fallback_ entries are null unless degraded-mode failover is on).
+  std::vector<const LatencyTable*> primary_;
+  std::vector<const LatencyTable*> fallback_;
   std::vector<Replica> replicas_;
+  FaultModel faults_;
+  std::vector<RetryEntry> retries_;  // min-heap via push_heap/pop_heap
+  bool degraded_ = false;
+  std::uint64_t degraded_since_ = 0;
+  std::uint64_t policy_wake_us_;  // set by dispatch(); kNever when none
   // fifo mode: the single arrival-order queue; cb modes: one queue per
   // class, shared capacity.
   std::deque<Request> fifo_queue_;
@@ -261,7 +362,7 @@ bool wrr_prefers(double weight_c, std::uint64_t served_c, double weight_b,
                  std::uint64_t served_b);
 
 // Runs the scheduler event loop over a drained mixed workload. Checks
-// request conservation (total and per class) at drain.
+// request conservation (total, per class, and per model) at drain.
 SchedMetrics simulate_sched(const std::vector<Request>& workload,
                             const ModelRegistry& registry,
                             const SchedConfig& cfg,
@@ -277,65 +378,5 @@ SchedMetrics simulate_sched(const MixedWorkloadConfig& workload,
                             const SchedConfig& cfg,
                             PercentileMode percentiles =
                                 PercentileMode::kExact);
-
-// A (mode x offered-rate) sweep at fixed traffic mix: every point faces
-// the byte-identical request stream, so mode deltas are scheduling, not
-// sampling. Class traffic (workload.classes) and class scheduling
-// contracts (sched.classes) pair up by index.
-struct SchedSweepConfig {
-  std::vector<std::string> model_names = {"vit-b"};
-  // One serving strategy for the whole zoo; per-model strategy knobs
-  // (the int4 pack factor) come from the catalog entries themselves.
-  core::Strategy strategy = core::Strategy::kVitBit;
-  std::vector<std::string> modes = {"fifo", "cb", "cb-pre"};
-  std::vector<double> rates_rps = {200, 400};
-  // rate_rps/num_models are overridden per point / from model_names.
-  MixedWorkloadConfig workload;
-  SchedConfig sched;
-  SwapCostConfig swap;
-  // kSketch keeps 10^6-request sweeps in O(1) memory per sink; --exact
-  // flips to exact nearest-rank percentiles for small runs and tests.
-  PercentileMode percentiles = PercentileMode::kSketch;
-
-  void validate() const;
-};
-
-struct SchedPoint {
-  std::string mode;
-  double rate_rps = 0.0;
-  SchedMetrics metrics;
-};
-
-// Phase 1 builds the model registry (one memoized latency table per
-// model, through the shared builder); phase 2 fans the event loop out
-// over `pool` per (mode, rate) point in index order — byte-identical
-// results at every pool size.
-std::vector<SchedPoint> run_sched_sweep(const SchedSweepConfig& cfg,
-                                        const arch::OrinSpec& spec,
-                                        const arch::Calibration& calib,
-                                        ThreadPool* pool = nullptr);
-
-// Console rendering: one row per (mode, rate) with aggregate goodput,
-// drop rate, preemption/swap counts, and per-class p99 columns.
-Table sched_table(const SchedSweepConfig& cfg,
-                  const std::vector<SchedPoint>& points);
-
-// Shared flag set of bench/sched_sim and `vitbit_cli sched`: zoo/traffic
-// knobs (--models, --strategy, --modes, --rates/--rate, --classes,
-// --weights, --slos-us, --shares, --arrivals, --mix or per-class
-// --mix0/--mix1/..., --duration-s, --seed) and scheduler knobs
-// (--max-batch, --queue-capacity, --num-gpus, --iters, --slo-us,
-// --cache-models, --load-gbps, --warm-swap-us, --exact). List flags go
-// through the hardened parsers of serve/server.h (duplicate names,
-// non-positive weights, and non-finite mix fractions are rejected with
-// clear errors). Validates the assembled config before returning.
-SchedSweepConfig sched_config_from_cli(const Cli& cli);
-
-// Schema-versioned report: per (mode, rate) one aggregate "all" row plus
-// one row per class and per model (report::SchedPointReport), with the
-// sweep's full knob set in meta. host_wall_seconds is left 0.
-report::RunReport make_sched_report(const SchedSweepConfig& cfg,
-                                    const std::vector<SchedPoint>& points,
-                                    const std::string& tool, int threads);
 
 }  // namespace vitbit::serve

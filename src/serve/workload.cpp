@@ -152,10 +152,10 @@ MixedWorkloadStream::MixedWorkloadStream(const MixedWorkloadConfig& cfg) {
     w.kind = cls.kind;
     w.rate_rps = cfg.rate_rps * cls.rate_share / share_sum;
     w.duration_s = cfg.duration_s;
-    // Independent per-class streams (the shard_fault_seed idiom of
-    // serve/cluster.h): arrivals and model draws mix distinct constants,
-    // so the model assignment never perturbs the arrival sequence.
-    w.seed = cfg.seed + 0xbf58476d1ce4e5b9ull * (c + 1);
+    // Independent per-class streams: arrivals and model draws mix
+    // distinct constants, so the model assignment never perturbs the
+    // arrival sequence.
+    w.seed = cfg.seed + kSeedStride * (c + 1);
     w.burst_on_s = cls.burst_on_s;
     w.burst_off_s = cls.burst_off_s;
     PerClass pc{WorkloadStream(w),

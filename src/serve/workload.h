@@ -97,6 +97,16 @@ struct ClassTraffic {
   std::vector<double> model_mix;
 };
 
+// Seed stride of the serving engine's derived streams: class c of a
+// MixedWorkloadStream draws its arrivals from a WorkloadStream seeded
+// `seed + kSeedStride * (c + 1)`, and shard s of a fleet
+// (serve/cluster.h) draws its faults from `fault seed + kSeedStride *
+// (s + 1)`. A one-class mixed stream at seed s - kSeedStride (mod 2^64)
+// therefore replays generate_workload at seed s request for request, and
+// a one-shard fleet at fault seed f - kSeedStride draws the faults of
+// seed f.
+inline constexpr std::uint64_t kSeedStride = 0xbf58476d1ce4e5b9ull;
+
 struct MixedWorkloadConfig {
   std::vector<ClassTraffic> classes = {ClassTraffic{}};
   double rate_rps = 200.0;  // total offered rate summed over classes

@@ -1,5 +1,7 @@
 #include "vitbit/strategy.h"
 
+#include "common/check.h"
+
 namespace vitbit::core {
 
 const char* strategy_name(Strategy s) {
@@ -20,6 +22,17 @@ const char* strategy_name(Strategy s) {
       return "VitBit";
   }
   return "?";
+}
+
+Strategy strategy_from_name(const std::string& name) {
+  std::string known;
+  for (const auto s : all_strategies()) {
+    if (name == strategy_name(s)) return s;
+    known += known.empty() ? "" : "|";
+    known += strategy_name(s);
+  }
+  // A user-level error (no source location): the name came from a flag.
+  throw CheckError("unknown strategy: " + name + " (want " + known + ")");
 }
 
 std::vector<Strategy> all_strategies() {

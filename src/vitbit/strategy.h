@@ -25,6 +25,9 @@ enum class Strategy {
 };
 
 const char* strategy_name(Strategy s);
+// Inverse of strategy_name (case-sensitive). Throws CheckError listing
+// the valid names on anything else.
+Strategy strategy_from_name(const std::string& name);
 
 // All strategies, in Table 3 order.
 std::vector<Strategy> all_strategies();

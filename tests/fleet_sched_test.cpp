@@ -3,8 +3,8 @@
 // cold-swap reduction against jsq at identical offered traffic, spread
 // placement's warm-start benefit, the preemption-aware autoscale
 // signals, byte-determinism of sweeps across pool sizes,
-// fleet_sched_points report round-trips, and the layered CLI parsing
-// shared with bench/fleet_sched_sim and `vitbit_cli fleet-sched`.
+// fleet_sched_points report round-trips, and the CLI parsing shared with
+// bench/serve_sim and `vitbit_cli serve`.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -271,8 +271,8 @@ TEST(FleetSchedSweep, ReportRoundTripsAndIndexes) {
   const auto& calib = arch::default_calibration();
   ThreadPool pool(2);
   const auto points = run_fleet_sched_sweep(cfg, kSpec, calib, &pool);
-  EXPECT_EQ(points.size(), cfg.modes.size() * cfg.routes.size() *
-                               cfg.rates_rps.size());
+  EXPECT_EQ(points.size(), cfg.strategies.size() * cfg.modes.size() *
+                               cfg.routes.size() * cfg.rates_rps.size());
   auto rep = make_fleet_sched_report(cfg, points, "fleet_sched_test",
                                      static_cast<int>(pool.size()));
   // One "all" row plus one per class and per model, per point.
@@ -285,13 +285,18 @@ TEST(FleetSchedSweep, ReportRoundTripsAndIndexes) {
   const auto back = report::load_report_file(path);
   EXPECT_TRUE(report::to_json(back) == report::to_json(rep));
 
-  const auto* p = back.find_fleet_sched_point("fifo.jsq.all.all@50000");
+  const auto* p =
+      back.find_fleet_sched_point("VitBit.fifo.jsq.all.all@50000");
   ASSERT_NE(p, nullptr);
   EXPECT_GT(p->offered, 0u);
-  EXPECT_EQ(p->offered, p->completed + p->dropped);
-  EXPECT_NE(back.find_fleet_sched_point("cb-pre.warm.class.interactive@250000"),
+  EXPECT_EQ(p->offered, p->completed + p->dropped + p->shed);
+  EXPECT_NE(back.find_fleet_sched_point(
+                "VitBit.cb-pre.warm.class.interactive@250000"),
             nullptr);
-  EXPECT_EQ(back.find_fleet_sched_point("fifo.po2c.all.all@50000"), nullptr);
+  EXPECT_EQ(back.find_fleet_sched_point("VitBit.fifo.po2c.all.all@50000"),
+            nullptr);
+  EXPECT_EQ(back.find_fleet_sched_point("TC.fifo.jsq.all.all@50000"),
+            nullptr);
 }
 
 TEST(FleetSchedCli, AssemblesConfigFromFlags) {

@@ -1,8 +1,8 @@
-// Fleet-tier behavior: routing policy decisions (serve/router.h),
-// span-weighted shard aggregation and the end-to-end fleet loop
-// (serve/cluster.h), and the reactive autoscaler (serve/server.h). All
-// tables are tiny synthetic LatencyTables, so these pin pure queueing,
-// routing, and accounting behavior with no kernel simulation involved.
+// Fleet behavior: routing policy decisions (serve/router.h), span-weighted
+// shard aggregation and the end-to-end fleet loop (serve/cluster.h), and
+// the reactive autoscaler (serve/sched). All tables are tiny synthetic
+// LatencyTables, so these pin pure queueing, routing, and accounting
+// behavior with no kernel simulation involved.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,25 +13,22 @@
 #include <vector>
 
 #include "common/check.h"
-#include "common/cli.h"
 #include "serve/cluster.h"
 #include "serve/router.h"
-#include "serve/server.h"
+#include "serve_test_util.h"
 
 namespace vitbit::serve {
 namespace {
 
-Cli make_cli(const std::vector<std::string>& flags) {
-  std::vector<const char*> argv = {"fleet_test"};
-  for (const auto& f : flags) argv.push_back(f.c_str());
-  return Cli(static_cast<int>(argv.size()), argv.data());
-}
+using testing::fifo_config;
+using testing::make_cli;
+using testing::one_model;
 
-// Synthetic two-batch table: batch 1 -> 100 us, batch 2 -> 150 us.
-LatencyTable tiny_table() {
+// Synthetic two-batch model: batch 1 -> 100 us, batch 2 -> 150 us.
+ModelRegistry tiny_model() {
   LatencyTable t;
   t.batch_latency_us = {0, 100, 150};
-  return t;
+  return one_model(t);
 }
 
 TEST(RoutePolicy, NamesRoundTrip) {
@@ -183,57 +180,71 @@ TEST(AggregateShardMetrics, IdleShardDoesNotPoisonAggregates) {
   EXPECT_DOUBLE_EQ(m.throughput_rps, solo.throughput_rps);
 }
 
-FleetConfig small_fleet(RoutePolicy route, PercentileMode mode) {
-  FleetConfig cfg;
+FleetSchedConfig small_fleet(RoutePolicy route, PercentileMode mode) {
+  FleetSchedConfig cfg;
   cfg.num_shards = 2;
   cfg.route = route;
   cfg.percentiles = mode;
-  cfg.shard.policy = "greedy";
-  cfg.shard.batcher.max_batch_size = 2;
-  cfg.shard.batcher.queue_capacity = 16;
-  cfg.shard.slo_us = 50'000;
+  cfg.shard = fifo_config("greedy", 2, 16);
   return cfg;
 }
 
-WorkloadConfig small_workload(double rate_rps) {
-  WorkloadConfig w;
+// The single-class poisson stream of seed 3, replayed through the
+// one-class mixed stream.
+MixedWorkloadConfig small_workload(double rate_rps) {
+  MixedWorkloadConfig w;
   w.rate_rps = rate_rps;
   w.duration_s = 0.25;
-  w.seed = 3;
+  w.seed = 3 - kSeedStride;
   return w;
 }
 
+// Steps one hand-driven shard in the fleet loop's order until it drains;
+// returns the last timestamp.
+std::uint64_t drain(SchedSim& sim) {
+  std::uint64_t now = 0;
+  while (!sim.idle()) {
+    now = std::min(sim.next_internal_event_us(), sim.next_timer_us());
+    sim.begin_step(now);
+    sim.maybe_autoscale(now);
+    sim.admit_due_retries(now);
+    sim.dispatch(now);
+  }
+  return now;
+}
+
 TEST(SimulateFleet, ConservesRequestsUnderEveryPolicy) {
-  const auto table = tiny_table();
+  const auto reg = tiny_model();
   for (const auto route : {RoutePolicy::kRandom, RoutePolicy::kRoundRobin,
                            RoutePolicy::kJsq, RoutePolicy::kPo2c}) {
-    const auto m = simulate_fleet(small_workload(8'000),
-                                  table,
-                                  small_fleet(route, PercentileMode::kSketch));
+    const auto m = simulate_fleet_sched(
+        small_workload(8'000), reg,
+        small_fleet(route, PercentileMode::kSketch));
     ASSERT_EQ(m.per_shard.size(), 2u) << route_policy_name(route);
-    EXPECT_GT(m.total.offered, 0u);
-    EXPECT_EQ(m.total.offered,
-              m.total.completed + m.total.dropped + m.total.shed)
+    const auto& t = m.total.total;
+    EXPECT_GT(t.offered, 0u);
+    EXPECT_EQ(t.offered, t.completed + t.dropped + t.shed)
         << route_policy_name(route);
-    EXPECT_GT(m.total.p99_us, 0u);
+    EXPECT_GT(t.p99_us, 0u);
   }
 }
 
 TEST(SimulateFleet, RerunsAreBitIdentical) {
-  const auto table = tiny_table();
+  const auto reg = tiny_model();
   const auto cfg = small_fleet(RoutePolicy::kPo2c, PercentileMode::kSketch);
   const auto w = small_workload(12'000);
-  const auto a = simulate_fleet(w, table, cfg);
-  const auto b = simulate_fleet(w, table, cfg);
-  EXPECT_EQ(a.total.completed, b.total.completed);
-  EXPECT_EQ(a.total.dropped, b.total.dropped);
-  EXPECT_EQ(a.total.p50_us, b.total.p50_us);
-  EXPECT_EQ(a.total.p99_us, b.total.p99_us);
-  EXPECT_DOUBLE_EQ(a.total.utilization, b.total.utilization);
+  const auto a = simulate_fleet_sched(w, reg, cfg);
+  const auto b = simulate_fleet_sched(w, reg, cfg);
+  EXPECT_EQ(a.total.total.completed, b.total.total.completed);
+  EXPECT_EQ(a.total.total.dropped, b.total.total.dropped);
+  EXPECT_EQ(a.total.total.p50_us, b.total.total.p50_us);
+  EXPECT_EQ(a.total.total.p99_us, b.total.total.p99_us);
+  EXPECT_DOUBLE_EQ(a.total.total.utilization, b.total.total.utilization);
   EXPECT_DOUBLE_EQ(a.shard_util_min, b.shard_util_min);
   EXPECT_DOUBLE_EQ(a.shard_util_max, b.shard_util_max);
   for (std::size_t i = 0; i < a.per_shard.size(); ++i)
-    EXPECT_EQ(a.per_shard[i].completed, b.per_shard[i].completed) << i;
+    EXPECT_EQ(a.per_shard[i].total.completed, b.per_shard[i].total.completed)
+        << i;
 }
 
 TEST(SimulateFleet, SketchPercentilesTrackExactMode) {
@@ -241,20 +252,21 @@ TEST(SimulateFleet, SketchPercentilesTrackExactMode) {
   // exactly (the modes only differ in how latencies are summarized) and
   // the sketch percentiles stay within the accuracy bound of exact
   // nearest-rank over the concatenated samples.
-  const auto table = tiny_table();
+  const auto reg = tiny_model();
   const auto w = small_workload(16'000);
-  const auto exact = simulate_fleet(
-      w, table, small_fleet(RoutePolicy::kJsq, PercentileMode::kExact));
-  const auto sketch = simulate_fleet(
-      w, table, small_fleet(RoutePolicy::kJsq, PercentileMode::kSketch));
-  EXPECT_EQ(exact.total.offered, sketch.total.offered);
-  EXPECT_EQ(exact.total.completed, sketch.total.completed);
-  EXPECT_EQ(exact.total.dropped, sketch.total.dropped);
-  EXPECT_EQ(exact.total.max_us, sketch.total.max_us);
-  ASSERT_GT(exact.total.completed, 1'000u);
-  for (const auto [e, s] :
-       {std::pair{exact.total.p50_us, sketch.total.p50_us},
-        std::pair{exact.total.p99_us, sketch.total.p99_us}}) {
+  const auto exact = simulate_fleet_sched(
+      w, reg, small_fleet(RoutePolicy::kJsq, PercentileMode::kExact))
+                         .total.total;
+  const auto sketch = simulate_fleet_sched(
+      w, reg, small_fleet(RoutePolicy::kJsq, PercentileMode::kSketch))
+                          .total.total;
+  EXPECT_EQ(exact.offered, sketch.offered);
+  EXPECT_EQ(exact.completed, sketch.completed);
+  EXPECT_EQ(exact.dropped, sketch.dropped);
+  EXPECT_EQ(exact.max_us, sketch.max_us);
+  ASSERT_GT(exact.completed, 1'000u);
+  for (const auto& [e, s] : {std::pair{exact.p50_us, sketch.p50_us},
+                             std::pair{exact.p99_us, sketch.p99_us}}) {
     const double err = std::abs(static_cast<double>(s) -
                                 static_cast<double>(e)) /
                        static_cast<double>(e);
@@ -268,21 +280,21 @@ TEST(SimulateFleet, JsqTailBeatsRandomUnderLoad) {
   // shards, so its p99 sits well above the full join-shortest-queue
   // scan's. (Utilization spread is NOT a monotone quality signal at
   // overload — every policy saturates every shard — so the tail is the
-  // discriminator here, as in the fleet_sim tables.)
-  const auto table = tiny_table();
+  // discriminator here, as in the EXPERIMENTS.md fleet tables.)
+  const auto reg = tiny_model();
   auto mk = [&](RoutePolicy route) {
     auto cfg = small_fleet(route, PercentileMode::kSketch);
     cfg.num_shards = 8;
-    return simulate_fleet(small_workload(85'000), table, cfg);
+    return simulate_fleet_sched(small_workload(85'000), reg, cfg).total.total;
   };
   const auto jsq = mk(RoutePolicy::kJsq);
   const auto rnd = mk(RoutePolicy::kRandom);
-  ASSERT_GT(jsq.total.completed, 5'000u);
-  EXPECT_GT(rnd.total.p99_us, jsq.total.p99_us);
+  ASSERT_GT(jsq.completed, 5'000u);
+  EXPECT_GT(rnd.p99_us, jsq.p99_us);
 }
 
 TEST(ShardSimAutoscale, ScalesUpOnDepthAndBackDownWhenDrained) {
-  // Hand-driven ShardSim against the synthetic table, pinning the exact
+  // Hand-driven shard against the synthetic table, pinning the exact
   // scale-up and scale-down ticks. 10 simultaneous arrivals into one
   // enabled replica (greedy 2-batches, 150 us each): the tick at t=100
   // sees depth 8 > 4 and enables the second replica; the tick at t=400
@@ -294,12 +306,9 @@ TEST(ShardSimAutoscale, ScalesUpOnDepthAndBackDownWhenDrained) {
   as.up_queue_depth = 4;
   as.down_queue_depth = 1;
   as.cooldown_us = 100;
-  ServerConfig cfg;
-  cfg.policy = "greedy";
-  cfg.batcher.max_batch_size = 2;
-  cfg.batcher.queue_capacity = 16;
-  const auto table = tiny_table();
-  ShardSim sim(table, cfg, nullptr, PercentileMode::kSketch, as);
+  const auto reg = tiny_model();
+  SchedSim sim(reg, fifo_config("greedy", 2, 16), PercentileMode::kSketch,
+               as);
   EXPECT_EQ(sim.enabled_replicas(), 1);
 
   sim.begin_step(0);
@@ -309,15 +318,8 @@ TEST(ShardSimAutoscale, ScalesUpOnDepthAndBackDownWhenDrained) {
   sim.dispatch(0);
   EXPECT_EQ(sim.load(), 10u);  // 8 queued + 2 in flight
 
-  std::uint64_t now = 0;
-  while (!sim.idle()) {
-    now = std::min(sim.next_internal_event_us(), sim.next_timer_us());
-    sim.begin_step(now);
-    sim.maybe_autoscale(now);
-    sim.admit_due_retries(now);
-    sim.dispatch(now);
-  }
-  const auto m = sim.finalize(now);
+  const std::uint64_t now = drain(sim);
+  const auto m = sim.finalize(now).total;
   EXPECT_EQ(m.completed, 10u);
   EXPECT_EQ(m.dropped, 0u);
   EXPECT_EQ(sim.scale_ups(), 1u);
@@ -336,23 +338,12 @@ TEST(ShardSimAutoscale, ScalesUpOnDepthAndBackDownWhenDrained) {
 TEST(ShardSimAutoscale, FixedFleetNeverScales) {
   // Autoscaling disabled (max == min): the enabled window is pinned and
   // the counters stay zero no matter the load.
-  ServerConfig cfg;
-  cfg.policy = "greedy";
-  cfg.batcher.max_batch_size = 2;
-  cfg.batcher.queue_capacity = 4;
-  const auto table = tiny_table();
-  ShardSim sim(table, cfg, nullptr, PercentileMode::kSketch);
+  const auto reg = tiny_model();
+  SchedSim sim(reg, fifo_config("greedy", 2, 4), PercentileMode::kSketch);
   sim.begin_step(0);
   for (std::uint64_t i = 0; i < 10; ++i) sim.admit(0, {i, 0});
   sim.dispatch(0);
-  std::uint64_t now = 0;
-  while (!sim.idle()) {
-    now = sim.next_internal_event_us();
-    sim.begin_step(now);
-    sim.admit_due_retries(now);
-    sim.dispatch(now);
-  }
-  sim.finalize(now);
+  sim.finalize(drain(sim));
   EXPECT_EQ(sim.scale_ups(), 0u);
   EXPECT_EQ(sim.scale_downs(), 0u);
   EXPECT_EQ(sim.enabled_replicas(), 1);
@@ -368,11 +359,11 @@ TEST(SimulateFleet, AutoscaleReactsToABurst) {
   cfg.autoscale.up_queue_depth = 4;
   cfg.autoscale.down_queue_depth = 1;
   cfg.autoscale.cooldown_us = 10'000;
-  const auto m =
-      simulate_fleet(small_workload(30'000), tiny_table(), cfg);
+  const auto m = simulate_fleet_sched(small_workload(30'000), tiny_model(),
+                                      cfg);
   EXPECT_GT(m.scale_ups, 0u);
-  EXPECT_EQ(m.total.offered,
-            m.total.completed + m.total.dropped + m.total.shed);
+  const auto& t = m.total.total;
+  EXPECT_EQ(t.offered, t.completed + t.dropped + t.shed);
 }
 
 TEST(SimulateFleet, IdleShardIsExcludedFromUtilizationSpread) {
@@ -381,18 +372,18 @@ TEST(SimulateFleet, IdleShardIsExcludedFromUtilizationSpread) {
   // ties break to shard 0 — shard 1 never serves a request. The idle
   // shard's zero-width span must not drag shard_util_min to 0 (reporting
   // a maximally imbalanced fleet) or leak NaN into the aggregate.
-  const auto m = simulate_fleet(small_workload(100), tiny_table(),
-                                small_fleet(RoutePolicy::kJsq,
-                                            PercentileMode::kSketch));
+  const auto m = simulate_fleet_sched(
+      small_workload(100), tiny_model(),
+      small_fleet(RoutePolicy::kJsq, PercentileMode::kSketch));
   ASSERT_EQ(m.per_shard.size(), 2u);
-  EXPECT_GT(m.per_shard[0].completed, 0u);
-  EXPECT_EQ(m.per_shard[1].offered, 0u);
-  EXPECT_EQ(m.per_shard[1].end_us, 0u);
-  EXPECT_TRUE(std::isfinite(m.total.utilization));
-  EXPECT_TRUE(std::isfinite(m.total.mean_queue_depth));
+  EXPECT_GT(m.per_shard[0].total.completed, 0u);
+  EXPECT_EQ(m.per_shard[1].total.offered, 0u);
+  EXPECT_EQ(m.per_shard[1].total.end_us, 0u);
+  EXPECT_TRUE(std::isfinite(m.total.total.utilization));
+  EXPECT_TRUE(std::isfinite(m.total.total.mean_queue_depth));
   EXPECT_GT(m.shard_util_min, 0.0);
-  EXPECT_DOUBLE_EQ(m.shard_util_min, m.per_shard[0].utilization);
-  EXPECT_DOUBLE_EQ(m.shard_util_max, m.per_shard[0].utilization);
+  EXPECT_DOUBLE_EQ(m.shard_util_min, m.per_shard[0].total.utilization);
+  EXPECT_DOUBLE_EQ(m.shard_util_max, m.per_shard[0].total.utilization);
 }
 
 TEST(ShardSimAutoscale, NoDecisionTickAtVirtualTimeZero) {
@@ -406,12 +397,9 @@ TEST(ShardSimAutoscale, NoDecisionTickAtVirtualTimeZero) {
   as.up_queue_depth = 4;
   as.down_queue_depth = 1;
   as.cooldown_us = 100;
-  ServerConfig cfg;
-  cfg.policy = "greedy";
-  cfg.batcher.max_batch_size = 2;
-  cfg.batcher.queue_capacity = 16;
-  const auto table = tiny_table();
-  ShardSim sim(table, cfg, nullptr, PercentileMode::kSketch, as);
+  const auto reg = tiny_model();
+  SchedSim sim(reg, fifo_config("greedy", 2, 16), PercentileMode::kSketch,
+               as);
   sim.begin_step(0);
   for (std::uint64_t i = 0; i < 10; ++i) sim.admit(0, {i, 0});
   sim.maybe_autoscale(0);  // depth 10 > 4, but t = 0 is before any tick
@@ -434,28 +422,18 @@ TEST(ShardSimAutoscale, DrainPhaseReplicaSecondsAreExact) {
   as.up_queue_depth = 4;
   as.down_queue_depth = 1;
   as.cooldown_us = 100;
-  ServerConfig cfg;
-  cfg.policy = "greedy";
-  cfg.batcher.max_batch_size = 2;
-  cfg.batcher.queue_capacity = 16;
-  const auto table = tiny_table();
-  ShardSim sim(table, cfg, nullptr, PercentileMode::kSketch, as);
+  const auto reg = tiny_model();
+  SchedSim sim(reg, fifo_config("greedy", 2, 16), PercentileMode::kSketch,
+               as);
 
   sim.begin_step(0);
   sim.maybe_autoscale(0);
   for (std::uint64_t i = 0; i < 10; ++i) sim.admit(0, {i, 0});
   sim.admit_due_retries(0);
   sim.dispatch(0);
-  std::uint64_t now = 0;
-  while (!sim.idle()) {
-    now = std::min(sim.next_internal_event_us(), sim.next_timer_us());
-    sim.begin_step(now);
-    sim.maybe_autoscale(now);
-    sim.admit_due_retries(now);
-    sim.dispatch(now);
-  }
+  const std::uint64_t now = drain(sim);
   EXPECT_EQ(now, 450u);
-  const auto m = sim.finalize(now);
+  const auto m = sim.finalize(now).total;
   EXPECT_EQ(m.completed, 10u);
   EXPECT_EQ(sim.scale_ups(), 1u);
   EXPECT_EQ(sim.scale_downs(), 1u);
@@ -475,25 +453,14 @@ TEST(ShardSimAutoscale, HugeCooldownSaturatesInsteadOfWrapping) {
   as.up_queue_depth = 4;
   as.down_queue_depth = 1;
   as.cooldown_us = std::numeric_limits<std::uint64_t>::max();
-  ServerConfig cfg;
-  cfg.policy = "greedy";
-  cfg.batcher.max_batch_size = 2;
-  cfg.batcher.queue_capacity = 16;
-  const auto table = tiny_table();
-  ShardSim sim(table, cfg, nullptr, PercentileMode::kSketch, as);
+  const auto reg = tiny_model();
+  SchedSim sim(reg, fifo_config("greedy", 2, 16), PercentileMode::kSketch,
+               as);
 
   sim.begin_step(0);
   for (std::uint64_t i = 0; i < 10; ++i) sim.admit(0, {i, 0});
   sim.dispatch(0);
-  std::uint64_t now = 0;
-  while (!sim.idle()) {
-    now = std::min(sim.next_internal_event_us(), sim.next_timer_us());
-    sim.begin_step(now);
-    sim.maybe_autoscale(now);
-    sim.admit_due_retries(now);
-    sim.dispatch(now);
-  }
-  sim.finalize(now);
+  sim.finalize(drain(sim));
   EXPECT_EQ(sim.scale_ups(), 1u);
   EXPECT_EQ(sim.scale_downs(), 0u);
   EXPECT_EQ(sim.enabled_replicas(), 2);
@@ -503,22 +470,32 @@ TEST(FleetCli, RejectsNegativeAutoscaleFlags) {
   // Each autoscale duration/threshold flag parses through a signed
   // integer before the uint64 cast; a negative value must fail loud
   // instead of wrapping to a near-max cooldown or interval.
-  EXPECT_THROW(fleet_config_from_cli(make_cli({"--scale-cooldown-us=-1"})),
-               CheckError);
-  EXPECT_THROW(fleet_config_from_cli(make_cli({"--scale-interval-us=-5"})),
-               CheckError);
-  EXPECT_THROW(fleet_config_from_cli(make_cli({"--scale-up-depth=-2"})),
+  EXPECT_THROW(
+      fleet_sched_config_from_cli(make_cli({"--scale-cooldown-us=-1"})),
+      CheckError);
+  EXPECT_THROW(
+      fleet_sched_config_from_cli(make_cli({"--scale-interval-us=-5"})),
+      CheckError);
+  EXPECT_THROW(fleet_sched_config_from_cli(make_cli({"--scale-up-depth=-2"})),
                CheckError);
   // Sanity: the flags still work with legal values.
-  const auto cfg = fleet_config_from_cli(
+  const auto cfg = fleet_sched_config_from_cli(
       make_cli({"--min-replicas=1", "--max-replicas=2",
                 "--scale-cooldown-us=1000"}));
   EXPECT_EQ(cfg.fleet.autoscale.cooldown_us, 1000u);
 }
 
 TEST(FleetConfigValidate, RejectsBadShardCounts) {
-  FleetConfig cfg;
+  FleetSchedConfig cfg;
   cfg.num_shards = 0;
+  EXPECT_THROW(cfg.validate(), CheckError);
+  // The degraded-mode threshold cannot exceed an autoscaled shard's
+  // replica ceiling.
+  cfg.num_shards = 1;
+  cfg.shard.num_gpus = 3;
+  cfg.autoscale.min_replicas = 1;
+  cfg.autoscale.max_replicas = 2;
+  cfg.shard.faults.degrade_below_live = 3;
   EXPECT_THROW(cfg.validate(), CheckError);
 }
 

@@ -115,6 +115,44 @@ TEST(ModelRegistry, ColdSwapPricesWeightBytesOverLink) {
   EXPECT_NEAR(static_cast<double>(int8_us), expect_us, 1.0);
 }
 
+TEST(ModelRegistry, MultiStrategyTablesMatchSingleStrategyBuilds) {
+  // One build per model covers every strategy, table for table.
+  const std::vector<core::Strategy> both = {core::Strategy::kTC,
+                                            core::Strategy::kVitBit};
+  const ModelRegistry reg({"vit-tiny", "cnn-small"}, both, kSpec,
+                          arch::default_calibration(), 2, SwapCostConfig{},
+                          nullptr);
+  EXPECT_EQ(reg.strategies(), both);
+  for (const auto s : both) {
+    const ModelRegistry solo({"vit-tiny", "cnn-small"}, s, kSpec,
+                             arch::default_calibration(), 2,
+                             SwapCostConfig{});
+    for (int m = 0; m < 2; ++m)
+      EXPECT_EQ(reg.table(m, s).batch_latency_us,
+                solo.table(m).batch_latency_us);
+  }
+  EXPECT_EQ(reg.table(0).strategy, core::Strategy::kTC);
+  EXPECT_THROW(reg.table(0, core::Strategy::kIC), CheckError);
+  EXPECT_THROW(ModelRegistry({"vit-tiny"},
+                             std::vector<core::Strategy>{
+                                 core::Strategy::kTC, core::Strategy::kTC},
+                             kSpec, arch::default_calibration(), 1,
+                             SwapCostConfig{}, nullptr),
+               CheckError);
+}
+
+TEST(Zoo, LayersOverrideDepthOfLayeredModelsOnly) {
+  const auto deep = zoo_entry("vit-b");
+  const auto shallow = zoo_entry("vit-b", 1);
+  EXPECT_LT(shallow.weight_bytes, deep.weight_bytes);
+  EXPECT_LT(shallow.log_for_batch(1).calls().size(),
+            deep.log_for_batch(1).calls().size());
+  // The CNN keeps its fixed conv stack.
+  EXPECT_EQ(zoo_entry("cnn-small", 1).weight_bytes,
+            zoo_entry("cnn-small").weight_bytes);
+  EXPECT_THROW(zoo_entry("vit-b", -1), CheckError);
+}
+
 TEST(SwapCostConfig, ValidateRejectsBadKnobs) {
   SwapCostConfig bad;
   bad.load_gbps = 0.0;

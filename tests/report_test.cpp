@@ -155,10 +155,12 @@ RunReport sample_report() {
   g.total.instructions_issued = 3000;
   g.total.ipc = 1.5;
   rep.l2_runs.push_back(std::move(g));
-  ServePointReport sp;
+  FleetSchedPointReport sp;
   sp.strategy = "VitBit";
-  sp.policy = "timeout";
-  sp.arrival = "poisson";
+  sp.mode = "fifo";
+  sp.route = "jsq";
+  sp.scope = "all";
+  sp.group = "all";
   sp.rate_rps = 400;
   sp.offered = 800;
   sp.completed = 780;
@@ -175,7 +177,7 @@ RunReport sample_report() {
   sp.p90_us = 15000;
   sp.p95_us = 18000;
   sp.p99_us = 24000;
-  rep.serve_points.push_back(std::move(sp));
+  rep.fleet_sched_points.push_back(std::move(sp));
   GemmPointReport gp;
   gp.name = "layer0.fc1";
   gp.dtype = "int32";
@@ -419,11 +421,11 @@ TEST(RunReport, ServePointsRoundTripAndLookup) {
   const RunReport rep = sample_report();
   const RunReport back = run_report_from_json(to_json(rep));
   EXPECT_EQ(to_json(back), to_json(rep));
-  const auto* p = back.find_serve_point("VitBit.timeout.poisson@400");
+  const auto* p = back.find_fleet_sched_point("VitBit.fifo.jsq.all.all@400");
   ASSERT_NE(p, nullptr);
   EXPECT_EQ(p->completed, 780u);
   EXPECT_EQ(p->p99_us, 24000u);
-  EXPECT_EQ(back.find_serve_point("TC.timeout.poisson@400"), nullptr);
+  EXPECT_EQ(back.find_fleet_sched_point("TC.fifo.jsq.all.all@400"), nullptr);
 }
 
 TEST(RunReport, GemmPointKeyIncludesEngine) {
@@ -464,23 +466,28 @@ TEST(RunReport, PreMinor6GemmPointsLoadWithoutSimdLevel) {
 }
 
 TEST(RunReport, DocumentsWithoutServePointsStillLoad) {
-  // Pre-minor-2 documents (the original fig5/fig10 baselines) carry no
-  // serve_points key; the reader must default to an empty section.
+  // Documents of runs without a serving sweep (the fig5/fig10 baselines)
+  // carry no fleet_sched_points key; the reader must default to an empty
+  // section. Pre-minor-10 documents may still carry the retired
+  // serve_points / fleet_points / sched_points sections, which are
+  // ignored.
   const Json full = to_json(sample_report());
   Json j = Json::object();
   for (const auto& [key, value] : full.items())
-    if (key != "serve_points") j.set(key, value);
-  EXPECT_TRUE(run_report_from_json(j).serve_points.empty());
+    if (key != "fleet_sched_points") j.set(key, value);
+  for (const char* retired : {"serve_points", "fleet_points", "sched_points"})
+    j.set(retired, Json::array());
+  EXPECT_TRUE(run_report_from_json(j).fleet_sched_points.empty());
 }
 
 TEST(Baseline, ServeGoodputDriftTrips) {
   const RunReport base = sample_report();
   RunReport fresh = base;
-  fresh.serve_points[0].goodput_rps = 380.0 * 1.06;  // 6% > 5%
+  fresh.fleet_sched_points[0].goodput_rps = 380.0 * 1.06;  // 6% > 5%
   const auto result = check_against_baseline(fresh, base, ToleranceSpec{});
   EXPECT_FALSE(result.ok());
   EXPECT_EQ(result.first_violation(),
-            "serve.VitBit.timeout.poisson@400.goodput_rps");
+            "fleet_sched.VitBit.fifo.jsq.all.all@400.goodput_rps");
 }
 
 TEST(Baseline, ServeOfferedCountIsExact) {
@@ -488,14 +495,14 @@ TEST(Baseline, ServeOfferedCountIsExact) {
   // construction, so any drift at all is a violation.
   const RunReport base = sample_report();
   RunReport fresh = base;
-  fresh.serve_points[0].offered += 1;
+  fresh.fleet_sched_points[0].offered += 1;
   EXPECT_FALSE(check_against_baseline(fresh, base, ToleranceSpec{}).ok());
 }
 
 TEST(Baseline, MissingServePointIsViolation) {
   const RunReport base = sample_report();
   RunReport fresh = base;
-  fresh.serve_points.clear();
+  fresh.fleet_sched_points.clear();
   const auto result = check_against_baseline(fresh, base, ToleranceSpec{});
   EXPECT_FALSE(result.ok());
   const auto v = result.violations();

@@ -1,9 +1,9 @@
-// Scheduler-tier tests (serve/sched/sched.h): the FIFO pin against the
-// single-model server, request conservation across every mode, the
-// cb-pre preemption benefit on the high-priority tail, model-swap
-// pricing under the LRU weight cache, byte-determinism of sweeps across
-// pool sizes, sched_points report round-trips, and the hardened CLI
-// parsing shared with bench/sched_sim and `vitbit_cli sched`.
+// Serving-engine scheduler tests (serve/sched/sched.h): the fifo pin
+// against values captured from the retired single-model greedy server,
+// request conservation across every mode, the cb-pre preemption benefit
+// on the high-priority tail, model-swap pricing under the LRU weight
+// cache, byte-determinism of one-shard sweeps across pool sizes, report
+// round-trips, and the hardened list-flag parsing of the one serving CLI.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -14,7 +14,7 @@
 #include "common/cli.h"
 #include "common/thread_pool.h"
 #include "report/run_report.h"
-#include "serve/sched/sched.h"
+#include "serve/cluster.h"
 
 namespace vitbit::serve {
 namespace {
@@ -57,39 +57,66 @@ void expect_metrics_equal(const ServeMetrics& a, const ServeMetrics& b) {
   EXPECT_EQ(a.max_us, b.max_us);
 }
 
+struct PinnedServer {
+  std::uint64_t offered, completed, dropped, batches, max_queue_depth;
+  std::uint64_t p50, p90, p95, p99, max;
+  double mean_batch_size, duration_s, throughput, goodput, drop_rate,
+      utilization, mean_depth;
+};
+
 TEST(SchedSim, FifoPinMatchesSingleModelGreedyServer) {
   // The regression anchor: with the all-default SchedConfig shape (fifo,
-  // one class, one model, iters ignored) the scheduler must reproduce
-  // simulate_server with the "greedy" flush policy bit for bit, on the
-  // very same latency table — at an unsaturated and a saturated rate.
+  // one class, one model, iters ignored) the scheduler reproduces the
+  // retired single-model server with the "greedy" flush policy bit for
+  // bit — at an unsaturated and a saturated rate. The constants were
+  // captured from that server (simulate_server, vit-tiny VitBit table,
+  // 177 us at every batch size) before it was deleted.
   const auto reg = make_registry({"vit-tiny"}, 4);
+  const PinnedServer expected[2] = {
+      {1045, 1040, 5, 285, 16, 397, 629, 700, 823, 874, 3.6491228070175437,
+       0.050528999999999998, 20582.239901838548, 20582.239901838548,
+       0.0047846889952153108, 0.99833758831562069, 5.0350887609095762},
+      {20173, 1145, 19028, 287, 16, 879, 883, 884, 884, 884,
+       3.989547038327526, 0.050798999999999997, 22539.81377586173,
+       22539.81377586173, 0.9432409656471521, 1, 15.701214590838402},
+  };
+  int i = 0;
   for (const double rate : {20'000.0, 400'000.0}) {
     WorkloadConfig w;
     w.rate_rps = rate;
     w.duration_s = 0.05;
     w.seed = 9;
-    const auto workload = generate_workload(w);
-
     SchedConfig sc;
     sc.mode = "fifo";
     sc.max_batch = 4;
     sc.queue_capacity = 16;
     sc.slo_us = 20'000;
-    const auto sched = simulate_sched(workload, reg, sc);
-
-    ServerConfig sv;
-    sv.policy = "greedy";
-    sv.batcher.max_batch_size = 4;
-    sv.batcher.queue_capacity = 16;
-    sv.slo_us = 20'000;
-    const auto server = simulate_server(workload, reg.table(0), sv);
-
-    expect_metrics_equal(sched.total, server);
+    const auto sched = simulate_sched(generate_workload(w), reg, sc);
+    const auto& m = sched.total;
+    const auto& e = expected[i++];
+    EXPECT_EQ(m.offered, e.offered) << rate;
+    EXPECT_EQ(m.completed, e.completed) << rate;
+    EXPECT_EQ(m.dropped, e.dropped) << rate;
+    EXPECT_EQ(m.batches, e.batches) << rate;
+    EXPECT_EQ(m.shed, 0u) << rate;
+    EXPECT_EQ(m.max_queue_depth, e.max_queue_depth) << rate;
+    EXPECT_EQ(m.p50_us, e.p50) << rate;
+    EXPECT_EQ(m.p90_us, e.p90) << rate;
+    EXPECT_EQ(m.p95_us, e.p95) << rate;
+    EXPECT_EQ(m.p99_us, e.p99) << rate;
+    EXPECT_EQ(m.max_us, e.max) << rate;
+    EXPECT_DOUBLE_EQ(m.mean_batch_size, e.mean_batch_size) << rate;
+    EXPECT_DOUBLE_EQ(m.duration_s, e.duration_s) << rate;
+    EXPECT_DOUBLE_EQ(m.throughput_rps, e.throughput) << rate;
+    EXPECT_DOUBLE_EQ(m.goodput_rps, e.goodput) << rate;
+    EXPECT_DOUBLE_EQ(m.drop_rate, e.drop_rate) << rate;
+    EXPECT_DOUBLE_EQ(m.utilization, e.utilization) << rate;
+    EXPECT_DOUBLE_EQ(m.mean_queue_depth, e.mean_depth) << rate;
     // Single class, single model: the breakdowns restate the total.
     ASSERT_EQ(sched.per_class.size(), 1u);
     ASSERT_EQ(sched.per_model.size(), 1u);
-    EXPECT_EQ(sched.per_class[0].completed, server.completed);
-    EXPECT_EQ(sched.per_model[0].completed, server.completed);
+    EXPECT_EQ(sched.per_class[0].completed, e.completed);
+    EXPECT_EQ(sched.per_model[0].completed, e.completed);
     EXPECT_EQ(sched.preemptions, 0u);
     EXPECT_EQ(sched.model_swaps, 0u);
   }
@@ -328,13 +355,16 @@ TEST(SchedSim, CrossModelUrgencyCannotPreemptAndPricesLruExactly) {
   }
 }
 
-SchedSweepConfig small_sweep() {
-  SchedSweepConfig cfg;
+// The one-shard sweep (the scheduler tier's sweep shape).
+FleetSchedSweepConfig small_sweep() {
+  FleetSchedSweepConfig cfg;
   cfg.model_names = {"vit-tiny", "cnn-small"};
+  cfg.routes = {RoutePolicy::kJsq};
   cfg.rates_rps = {50'000, 250'000};
   cfg.workload = mixed_workload(0.0);  // rate overridden per point
-  cfg.sched = two_class_config("fifo");  // mode overridden per point
-  cfg.percentiles = PercentileMode::kSketch;
+  cfg.fleet.num_shards = 1;
+  cfg.fleet.shard = two_class_config("fifo");  // mode overridden per point
+  cfg.fleet.percentiles = PercentileMode::kSketch;
   return cfg;
 }
 
@@ -344,8 +374,8 @@ TEST(SchedSweep, ByteIdenticalAcrossPoolSizes) {
   std::string first;
   for (const int threads : {1, 2, 4}) {
     ThreadPool pool(threads);
-    const auto points = run_sched_sweep(cfg, kSpec, calib, &pool);
-    const auto rep = make_sched_report(cfg, points, "sched_test", 1);
+    const auto points = run_fleet_sched_sweep(cfg, kSpec, calib, &pool);
+    const auto rep = make_fleet_sched_report(cfg, points, "sched_test", 1);
     const std::string body = report::to_json(rep).dump();
     if (first.empty())
       first = body;
@@ -359,12 +389,12 @@ TEST(SchedSweep, ReportRoundTripsAndIndexes) {
   const auto cfg = small_sweep();
   const auto& calib = arch::default_calibration();
   ThreadPool pool(2);
-  const auto points = run_sched_sweep(cfg, kSpec, calib, &pool);
-  auto rep = make_sched_report(cfg, points, "sched_test", pool.size());
+  const auto points = run_fleet_sched_sweep(cfg, kSpec, calib, &pool);
+  auto rep = make_fleet_sched_report(cfg, points, "sched_test", pool.size());
   // One "all" row plus one per class and per model, per (mode, rate).
-  const auto rows_per_point = 1 + cfg.sched.classes.size() +
+  const auto rows_per_point = 1 + cfg.fleet.shard.classes.size() +
                               cfg.model_names.size();
-  EXPECT_EQ(rep.sched_points.size(),
+  EXPECT_EQ(rep.fleet_sched_points.size(),
             cfg.modes.size() * cfg.rates_rps.size() * rows_per_point);
 
   const std::string path = "sched_report_roundtrip_test.json";
@@ -372,13 +402,16 @@ TEST(SchedSweep, ReportRoundTripsAndIndexes) {
   const auto back = report::load_report_file(path);
   EXPECT_TRUE(report::to_json(back) == report::to_json(rep));
 
-  const auto* p = back.find_sched_point("fifo.all.all@50000");
+  const auto* p =
+      back.find_fleet_sched_point("VitBit.fifo.jsq.all.all@50000");
   ASSERT_NE(p, nullptr);
   EXPECT_GT(p->offered, 0u);
-  EXPECT_EQ(p->offered, p->completed + p->dropped);
-  EXPECT_NE(back.find_sched_point("cb-pre.class.interactive@250000"),
+  EXPECT_EQ(p->offered, p->completed + p->dropped + p->shed);
+  EXPECT_NE(back.find_fleet_sched_point(
+                "VitBit.cb-pre.jsq.class.interactive@250000"),
             nullptr);
-  EXPECT_EQ(back.find_sched_point("lifo.all.all@50000"), nullptr);
+  EXPECT_EQ(back.find_fleet_sched_point("VitBit.lifo.jsq.all.all@50000"),
+            nullptr);
 }
 
 TEST(SchedCli, AssemblesConfigFromFlags) {
@@ -388,48 +421,66 @@ TEST(SchedCli, AssemblesConfigFromFlags) {
        "--slos-us=2000,500000", "--shares=0.25,0.75", "--rates=1000,2000",
        "--mix0=0.8,0.2", "--mix1=0.3,0.7", "--iters=2", "--max-batch=4",
        "--cache-models=2", "--duration-s=0.1"});
-  const auto cfg = sched_config_from_cli(cli);
+  const auto cfg = fleet_sched_config_from_cli(cli);
   EXPECT_TRUE(cli.unused().empty());
   ASSERT_EQ(cfg.model_names.size(), 2u);
-  ASSERT_EQ(cfg.sched.classes.size(), 2u);
-  EXPECT_EQ(cfg.sched.classes[0].name, "interactive");
-  EXPECT_DOUBLE_EQ(cfg.sched.classes[0].weight, 4.0);
-  EXPECT_EQ(cfg.sched.classes[1].slo_us, 500'000u);
+  const auto& shard = cfg.fleet.shard;
+  ASSERT_EQ(shard.classes.size(), 2u);
+  EXPECT_EQ(shard.classes[0].name, "interactive");
+  EXPECT_DOUBLE_EQ(shard.classes[0].weight, 4.0);
+  EXPECT_EQ(shard.classes[1].slo_us, 500'000u);
   ASSERT_EQ(cfg.workload.classes.size(), 2u);
   EXPECT_DOUBLE_EQ(cfg.workload.classes[1].rate_share, 0.75);
   ASSERT_EQ(cfg.workload.classes[0].model_mix.size(), 2u);
   EXPECT_DOUBLE_EQ(cfg.workload.classes[0].model_mix[0], 0.8);
-  EXPECT_EQ(cfg.sched.iters, 2);
+  EXPECT_EQ(shard.iters, 2);
   EXPECT_EQ(cfg.swap.cache_models, 2);
+  // One server by default, every strategy the serving story compares.
+  EXPECT_EQ(cfg.fleet.num_shards, 1);
+  ASSERT_EQ(cfg.strategies.size(), 2u);
+  EXPECT_EQ(cfg.strategies[0], core::Strategy::kTC);
+  // Without --slos-us the class SLOs follow --slo-us.
+  // The single-entry and older spellings still assemble the same knobs.
+  const auto one = fleet_sched_config_from_cli(
+      make_cli({"--slo-us=1500", "--layers=1", "--strategy=IC",
+                "--replicas=3", "--arrival=bursty", "--route=po2c"}));
+  EXPECT_EQ(one.fleet.shard.classes[0].slo_us, 1500u);
+  EXPECT_EQ(one.layers, 1);
+  ASSERT_EQ(one.strategies.size(), 1u);
+  EXPECT_EQ(one.strategies[0], core::Strategy::kIC);
+  EXPECT_EQ(one.fleet.shard.num_gpus, 3);
+  EXPECT_EQ(one.workload.classes[0].kind, ArrivalKind::kBursty);
+  ASSERT_EQ(one.routes.size(), 1u);
+  EXPECT_EQ(one.routes[0], RoutePolicy::kPo2c);
 }
 
 TEST(SchedCli, RejectsMalformedFlags) {
+  const auto parse = [](const std::vector<std::string>& flags) {
+    return fleet_sched_config_from_cli(make_cli(flags));
+  };
   // Duplicate model names.
-  EXPECT_THROW(sched_config_from_cli(
-                   make_cli({"--models=vit-tiny,vit-tiny"})),
-               CheckError);
+  EXPECT_THROW(parse({"--models=vit-tiny,vit-tiny"}), CheckError);
   // Non-positive class weight.
-  EXPECT_THROW(sched_config_from_cli(make_cli(
-                   {"--classes=a,b", "--weights=0,1"})),
-               CheckError);
+  EXPECT_THROW(parse({"--classes=a,b", "--weights=0,1"}), CheckError);
   // Non-finite mix fraction.
-  EXPECT_THROW(sched_config_from_cli(make_cli(
-                   {"--models=vit-tiny,cnn-small", "--mix=inf,1"})),
+  EXPECT_THROW(parse({"--models=vit-tiny,cnn-small", "--mix=inf,1"}),
                CheckError);
-  EXPECT_THROW(sched_config_from_cli(make_cli(
-                   {"--classes=a,b", "--shares=nan,0.5"})),
-               CheckError);
+  EXPECT_THROW(parse({"--classes=a,b", "--shares=nan,0.5"}), CheckError);
   // Mismatched per-class list lengths.
-  EXPECT_THROW(sched_config_from_cli(make_cli(
-                   {"--classes=a,b", "--weights=1,2,3"})),
-               CheckError);
-  // Unknown scheduling mode.
-  EXPECT_THROW(sched_config_from_cli(make_cli({"--modes=lifo"})),
-               CheckError);
+  EXPECT_THROW(parse({"--classes=a,b", "--weights=1,2,3"}), CheckError);
+  // Unknown scheduling mode, strategy, and fallback strategy.
+  EXPECT_THROW(parse({"--modes=lifo"}), CheckError);
+  EXPECT_THROW(parse({"--strategies=TC,bogus"}), CheckError);
+  EXPECT_THROW(parse({"--fallback=vitbit"}), CheckError);
+  // The timeout policy and faults belong to fifo mode.
+  EXPECT_THROW(parse({"--policy=timeout"}), CheckError);
+  EXPECT_THROW(parse({"--batch-fail-prob=0.1"}), CheckError);
+  EXPECT_NO_THROW(parse(
+      {"--modes=fifo", "--policy=timeout", "--batch-fail-prob=0.1"}));
   // Unknown zoo model surfaces at registry build with the catalog listed.
-  auto cfg = sched_config_from_cli(make_cli({}));
+  auto cfg = parse({});
   cfg.model_names = {"vit-nope"};
-  EXPECT_THROW(run_sched_sweep(cfg, kSpec, arch::default_calibration()),
+  EXPECT_THROW(run_fleet_sched_sweep(cfg, kSpec, arch::default_calibration()),
                CheckError);
 }
 

@@ -1,9 +1,11 @@
 // Fault-injection tests: FaultModel schedule determinism and duty cycle,
-// retry/backoff/shedding accounting in the event loop, degraded-mode
-// failover plumbing, and the zero-fault compatibility pin — with every
-// fault process off, the hardened loop must reproduce the pre-fault
-// simulator's metrics bit for bit (values below were captured from the
-// fault-free simulator before the fault path existed).
+// retry/backoff/shedding accounting in the serving engine's fifo mode,
+// degraded-mode failover plumbing, conservation with shedding at every
+// scope, and the zero-fault compatibility pins — with every fault
+// process off, the engine must reproduce the pre-fault simulator's
+// metrics bit for bit (values below were captured from the fault-free
+// simulator before the fault path existed), and zero fault rates must be
+// indistinguishable from a fault-free config.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -12,13 +14,18 @@
 
 #include "common/check.h"
 #include "common/thread_pool.h"
-#include "nn/vit_model.h"
 #include "report/run_report.h"
+#include "serve/cluster.h"
 #include "serve/faults.h"
-#include "serve/server.h"
+#include "serve_test_util.h"
 
 namespace vitbit::serve {
 namespace {
+
+using testing::fifo_config;
+using testing::flat_table;
+using testing::one_model;
+using testing::serve;
 
 TEST(FaultConfig, ValidateRejectsBadKnobs) {
   FaultConfig bad;
@@ -148,12 +155,59 @@ TEST(FaultModel, SpikedLatencyScalesAndStaysPositive) {
   EXPECT_EQ(FaultModel(cfg, 1).spiked_latency_us(7), 7u);
 }
 
-// Synthetic constant-latency table: queueing and fault behavior only.
-LatencyTable flat_table(std::uint64_t us, int max_batch) {
-  LatencyTable t;
-  t.batch_latency_us.assign(static_cast<std::size_t>(max_batch) + 1, us);
-  t.batch_latency_us[0] = 0;
-  return t;
+// A 3-class, 3-model fifo fleet of two shards over synthetic tables.
+ModelRegistry zoo_registry() {
+  std::vector<std::vector<LatencyTable>> tables;
+  for (const std::uint64_t us : {120, 200, 80})
+    tables.push_back({flat_table(us, 4)});
+  return ModelRegistry({"a", "b", "c"}, tables);
+}
+
+MixedWorkloadConfig mixed_traffic() {
+  MixedWorkloadConfig w;
+  w.rate_rps = 30'000;
+  w.duration_s = 0.1;
+  w.seed = 3;
+  w.num_models = 3;
+  w.classes.assign(3, ClassTraffic{});
+  w.classes[0].rate_share = 0.2;
+  w.classes[0].model_mix = {0.6, 0.2, 0.2};
+  w.classes[1].rate_share = 0.5;
+  w.classes[1].model_mix = {0.2, 0.6, 0.2};
+  w.classes[2].rate_share = 0.3;
+  w.classes[2].model_mix = {0.2, 0.2, 0.6};
+  return w;
+}
+
+FleetSchedConfig multi_class_fleet() {
+  FleetSchedConfig cfg;
+  cfg.num_shards = 2;
+  cfg.percentiles = PercentileMode::kExact;
+  cfg.shard = fifo_config("greedy", 4, 16);
+  cfg.shard.num_gpus = 2;
+  cfg.shard.classes = {{"interactive", 1.0, 2'000},
+                       {"standard", 1.0, 20'000},
+                       {"batch", 1.0, 100'000}};
+  return cfg;
+}
+
+// Every scope of a fleet result as report rows (all doubles included).
+report::RunReport rows_of(const FleetSchedMetrics& m) {
+  FleetSchedSweepConfig cfg;
+  cfg.model_names = {"a", "b", "c"};
+  cfg.fleet = multi_class_fleet();
+  FleetSchedPoint p;
+  p.mode = "fifo";
+  p.metrics = m;
+  auto rep = make_fleet_sched_report(cfg, {p}, "serve_faults_test", 1);
+  rep.meta.clear();
+  for (const auto& ps : m.per_shard) {
+    p.metrics.total = ps;
+    for (auto& row :
+         make_fleet_sched_report(cfg, {p}, "shard", 1).fleet_sched_points)
+      rep.fleet_sched_points.push_back(std::move(row));
+  }
+  return rep;
 }
 
 TEST(Retry, BudgetExhaustionShedsAfterBackedOffRetries) {
@@ -161,13 +215,11 @@ TEST(Retry, BudgetExhaustionShedsAfterBackedOffRetries) {
   // t=100, retries at 1100 and 3200 (backoff 1000 then 2000), and the
   // third failure exceeds max_retries=2 -> shed. Exact event accounting.
   const std::vector<Request> w = {{0, 0}};
-  ServerConfig cfg;
-  cfg.policy = "greedy";
-  cfg.batcher.max_batch_size = 1;
+  auto cfg = fifo_config("greedy", 1, 64);
   cfg.faults.batch_failure_prob = 1.0;
   cfg.faults.max_retries = 2;
   cfg.faults.retry_backoff_us = 1000;
-  const auto m = simulate_server(w, flat_table(100, 1), cfg);
+  const auto m = serve(w, one_model(flat_table(100, 1)), cfg);
   EXPECT_EQ(m.offered, 1u);
   EXPECT_EQ(m.completed, 0u);
   EXPECT_EQ(m.dropped, 0u);
@@ -186,14 +238,11 @@ TEST(Retry, SloDeadlineShedsBeforeBudgetRunsOut) {
   // still makes the deadline, but the second would land at 3200 > 1500,
   // so the request is shed with budget remaining.
   const std::vector<Request> w = {{0, 0}};
-  ServerConfig cfg;
-  cfg.policy = "greedy";
-  cfg.batcher.max_batch_size = 1;
-  cfg.slo_us = 1500;
+  auto cfg = fifo_config("greedy", 1, 64, /*slo_us=*/1500);
   cfg.faults.batch_failure_prob = 1.0;
   cfg.faults.max_retries = 10;
   cfg.faults.retry_backoff_us = 1000;
-  const auto m = simulate_server(w, flat_table(100, 1), cfg);
+  const auto m = serve(w, one_model(flat_table(100, 1)), cfg);
   EXPECT_EQ(m.completed, 0u);
   EXPECT_EQ(m.shed, 1u);
   EXPECT_EQ(m.batch_failures, 2u);
@@ -205,19 +254,17 @@ TEST(Retry, TransientFailureRateBelowOneEventuallyCompletes) {
   // p=0.5 batch failures with a deep retry budget and roomy SLO: most
   // requests complete after some retries, every request is accounted for
   // (the conservation invariant offered == completed + dropped + shed is
-  // also CHECK-enforced inside simulate_server at drain).
+  // also CHECK-enforced inside simulate_sched at drain).
   WorkloadConfig wl;
   wl.rate_rps = 500;
   wl.duration_s = 0.5;
   wl.seed = 13;
-  ServerConfig cfg;
-  cfg.policy = "greedy";
-  cfg.batcher.max_batch_size = 4;
+  auto cfg = fifo_config("greedy", 4, 64);
   cfg.faults.batch_failure_prob = 0.5;
   cfg.faults.max_retries = 8;
   cfg.faults.retry_backoff_us = 100;
-  const auto m = simulate_server(generate_workload(wl), flat_table(200, 4),
-                                 cfg);
+  const auto m =
+      serve(generate_workload(wl), one_model(flat_table(200, 4)), cfg);
   EXPECT_GT(m.batch_failures, 0u);
   EXPECT_GT(m.requeued, 0u);
   EXPECT_GT(m.completed, m.offered / 2);
@@ -225,16 +272,21 @@ TEST(Retry, TransientFailureRateBelowOneEventuallyCompletes) {
 }
 
 TEST(Degrade, RequiresFallbackTable) {
-  ServerConfig cfg;
+  auto cfg = fifo_config("greedy", 8, 64);
   cfg.num_gpus = 2;
   cfg.faults.degrade_below_live = 2;
-  EXPECT_THROW(simulate_server({{0, 0}}, flat_table(100, 8), cfg),
+  // The registry holds no table for the fallback strategy.
+  EXPECT_THROW(serve({{0, 0}}, one_model(flat_table(100, 8)), cfg),
                CheckError);
-  // And the threshold cannot exceed the fleet size.
+  // And the threshold cannot exceed the replica count.
   cfg.faults.degrade_below_live = 3;
   const auto fb = flat_table(50, 8);
-  EXPECT_THROW(simulate_server({{0, 0}}, flat_table(100, 8), cfg, &fb),
+  EXPECT_THROW(serve({{0, 0}}, one_model(flat_table(100, 8), &fb), cfg),
                CheckError);
+  // Faults belong to fifo: the continuous-batching modes reject them.
+  cfg.faults.degrade_below_live = 2;
+  cfg.mode = "cb-pre";
+  EXPECT_THROW(cfg.validate(), CheckError);
 }
 
 TEST(Degrade, ReplicaFailuresTriggerFailoverAndDegradedTime) {
@@ -246,17 +298,16 @@ TEST(Degrade, ReplicaFailuresTriggerFailoverAndDegradedTime) {
   wl.duration_s = 0.5;
   wl.seed = 5;
   const auto w = generate_workload(wl);
-  ServerConfig cfg;
-  cfg.policy = "greedy";
-  cfg.batcher.max_batch_size = 4;
+  auto cfg = fifo_config("greedy", 4, 64);
   cfg.num_gpus = 2;
   cfg.faults.seed = 17;
   cfg.faults.replica_mtbf_s = 0.02;
   cfg.faults.replica_mttr_s = 0.01;
   cfg.faults.degrade_below_live = 2;
   const auto fallback = flat_table(100, 4);  // cheaper than the primary
-  const auto a = simulate_server(w, flat_table(400, 4), cfg, &fallback);
-  const auto b = simulate_server(w, flat_table(400, 4), cfg, &fallback);
+  const auto reg = one_model(flat_table(400, 4), &fallback);
+  const auto a = serve(w, reg, cfg);
+  const auto b = serve(w, reg, cfg);
   EXPECT_GT(a.failovers, 0u);
   EXPECT_GT(a.degraded_s, 0.0);
   EXPECT_GT(a.batch_failures, 0u);  // aborted in-flight batches
@@ -273,34 +324,43 @@ TEST(Degrade, ReplicaFailuresTriggerFailoverAndDegradedTime) {
 // must serialize to byte-identical reports serially and on a 4-thread
 // pool — the same contract serve_test pins for the fault-free sweep.
 TEST(FaultSweep, ReportByteIdenticalAcrossThreadCounts) {
-  SweepConfig cfg;
-  cfg.model = nn::vit_tiny();
+  FleetSchedSweepConfig cfg;
+  cfg.model_names = {"vit-tiny"};
+  cfg.strategies = {core::Strategy::kTC, core::Strategy::kVitBit};
+  cfg.modes = {"fifo"};
+  cfg.routes = {RoutePolicy::kJsq};
   cfg.rates_rps = {2000, 6000};
-  cfg.workload.kind = ArrivalKind::kBursty;
+  cfg.workload.classes[0].kind = ArrivalKind::kBursty;
   cfg.workload.duration_s = 0.2;
   cfg.workload.seed = 42;
-  cfg.server.batcher.max_batch_size = 2;
-  cfg.server.num_gpus = 2;
-  cfg.server.faults.seed = 11;
-  cfg.server.faults.replica_mtbf_s = 0.05;
-  cfg.server.faults.replica_mttr_s = 0.02;
-  cfg.server.faults.batch_failure_prob = 0.05;
-  cfg.server.faults.latency_spike_prob = 0.1;
-  cfg.server.faults.latency_spike_mult = 3.0;
-  cfg.server.faults.degrade_below_live = 2;
-  cfg.fallback_strategy = core::Strategy::kIC;  // memoized extra table
+  cfg.fleet.num_shards = 1;
+  cfg.fleet.percentiles = PercentileMode::kExact;
+  auto& shard = cfg.fleet.shard;
+  shard.policy = "timeout";
+  shard.max_batch = 2;
+  shard.num_gpus = 2;
+  shard.faults.seed = 11;
+  shard.faults.replica_mtbf_s = 0.05;
+  shard.faults.replica_mttr_s = 0.02;
+  shard.faults.batch_failure_prob = 0.05;
+  shard.faults.latency_spike_prob = 0.1;
+  shard.faults.latency_spike_mult = 3.0;
+  shard.faults.degrade_below_live = 2;
+  shard.fallback_strategy = core::Strategy::kIC;  // memoized extra table
   const arch::OrinSpec spec;
   const auto& calib = arch::default_calibration();
 
-  const auto serial = report::to_json(make_serve_report(
-                          cfg, run_rate_sweep(cfg, spec, calib, nullptr),
+  const auto serial =
+      report::to_json(make_fleet_sched_report(
+                          cfg, run_fleet_sched_sweep(cfg, spec, calib, nullptr),
                           "serve_faults_test", 1))
-                          .dump();
+          .dump();
   ThreadPool four(4);
-  const auto parallel = report::to_json(make_serve_report(
-                            cfg, run_rate_sweep(cfg, spec, calib, &four),
-                            "serve_faults_test", 1))
-                            .dump();
+  const auto parallel =
+      report::to_json(make_fleet_sched_report(
+                          cfg, run_fleet_sched_sweep(cfg, spec, calib, &four),
+                          "serve_faults_test", 1))
+          .dump();
   EXPECT_EQ(serial, parallel);
 }
 
@@ -317,16 +377,25 @@ struct PinnedPoint {
 // and 2000 req/s) — any drift here means the fault machinery leaks into
 // fault-free runs.
 TEST(FaultFree, SweepReproducesPreFaultSimulatorBitForBit) {
-  SweepConfig cfg;
-  cfg.model = nn::vit_base();
-  cfg.model.num_layers = 1;
+  // The pre-fault single server restated: one shard, one class, fifo
+  // with the timeout flush, and the one-class stream seeded to replay
+  // the single-class workload of seed 42.
+  FleetSchedSweepConfig cfg;
+  cfg.model_names = {"vit-b"};
+  cfg.layers = 1;
+  cfg.strategies = {core::Strategy::kTC, core::Strategy::kVitBit};
+  cfg.modes = {"fifo"};
+  cfg.routes = {RoutePolicy::kJsq};
   cfg.rates_rps = {500, 2000};
   cfg.workload.duration_s = 0.2;
-  cfg.workload.seed = 42;
-  cfg.server.batcher.max_batch_size = 2;
+  cfg.workload.seed = 42 - kSeedStride;
+  cfg.fleet.num_shards = 1;
+  cfg.fleet.percentiles = PercentileMode::kExact;
+  cfg.fleet.shard.policy = "timeout";
+  cfg.fleet.shard.max_batch = 2;
   const arch::OrinSpec spec;
   const auto& calib = arch::default_calibration();
-  const auto points = run_rate_sweep(cfg, spec, calib, nullptr);
+  const auto points = run_fleet_sched_sweep(cfg, spec, calib, nullptr);
   ASSERT_EQ(points.size(), 4u);
 
   const PinnedPoint expected[4] = {
@@ -348,7 +417,7 @@ TEST(FaultFree, SweepReproducesPreFaultSimulatorBitForBit) {
        0.6967441164738731},
   };
   for (int i = 0; i < 4; ++i) {
-    const auto& m = points[i].metrics;
+    const auto& m = points[i].metrics.total.total;
     const auto& e = expected[i];
     EXPECT_EQ(m.offered, e.offered) << "point " << i;
     EXPECT_EQ(m.completed, e.completed) << "point " << i;
@@ -374,24 +443,77 @@ TEST(FaultFree, SweepReproducesPreFaultSimulatorBitForBit) {
   }
 }
 
-// Deep-copies a JSON object minus the serve-point fault keys — the shape
-// of a document written before schema minor 4.
-report::Json strip_fault_keys(const report::Json& point) {
-  auto out = report::Json::object();
-  for (const auto& [k, v] : point.items()) {
-    if (k == "batch_failures" || k == "retries" || k == "requeued" ||
-        k == "shed" || k == "failovers" || k == "degraded_s")
-      continue;
-    out.set(k, v);
+TEST(FaultFree, ZeroRatesAreBitIdenticalToAFaultFreeRun) {
+  // Every fault knob set but every rate at zero: no fault stream is
+  // consumed and no fault event fires, so the run must match the
+  // fault-free config on every count and every double.
+  auto cfg = multi_class_fleet();
+  auto zero = cfg;
+  auto& f = zero.shard.faults;
+  f.seed = 99;
+  f.replica_mtbf_s = 0.0;
+  f.batch_failure_prob = 0.0;
+  f.latency_spike_prob = 0.0;
+  f.latency_spike_mult = 5.0;
+  f.max_retries = 7;
+  f.retry_backoff_us = 3;
+  const auto reg = zoo_registry();
+  const auto w = mixed_traffic();
+  const auto a = simulate_fleet_sched(w, reg, cfg);
+  const auto b = simulate_fleet_sched(w, reg, zero);
+  EXPECT_EQ(report::to_json(rows_of(a)).dump(),
+            report::to_json(rows_of(b)).dump());
+  EXPECT_GT(a.total.total.completed, 0u);
+}
+
+TEST(Conservation, ShedCountsAtEveryScopeUnderFaults) {
+  // A 3-class, 3-model fifo fleet with every fault process on: requests
+  // are completed, dropped at the queue, or shed on the retry path — at
+  // the total, per class, per model, and per shard.
+  auto cfg = multi_class_fleet();
+  auto& f = cfg.shard.faults;
+  f.seed = 5;
+  f.replica_mtbf_s = 0.01;
+  f.replica_mttr_s = 0.004;
+  f.batch_failure_prob = 0.2;
+  f.latency_spike_prob = 0.2;
+  f.latency_spike_mult = 3.0;
+  f.max_retries = 1;
+  f.retry_backoff_us = 400;
+  const auto m = simulate_fleet_sched(mixed_traffic(), zoo_registry(), cfg);
+  const auto conserves = [](const ServeMetrics& s) {
+    return s.offered == s.completed + s.dropped + s.shed;
+  };
+  EXPECT_GT(m.total.total.shed, 0u);
+  EXPECT_GT(m.total.total.batch_failures, 0u);
+  EXPECT_TRUE(conserves(m.total.total));
+  std::uint64_t shed = 0, offered = 0;
+  for (const auto& c : m.total.per_class) {
+    EXPECT_TRUE(conserves(c));
+    shed += c.shed;
   }
-  return out;
+  EXPECT_EQ(shed, m.total.total.shed);
+  shed = 0;
+  for (const auto& pm : m.total.per_model) {
+    EXPECT_TRUE(conserves(pm));
+    shed += pm.shed;
+  }
+  EXPECT_EQ(shed, m.total.total.shed);
+  ASSERT_EQ(m.per_shard.size(), 2u);
+  for (const auto& ps : m.per_shard) {
+    EXPECT_TRUE(conserves(ps.total));
+    offered += ps.total.offered;
+  }
+  EXPECT_EQ(offered, m.total.total.offered);
 }
 
 TEST(Report, ServePointFaultFieldsRoundTripAndDefaultToZero) {
-  report::ServePointReport p;
+  report::FleetSchedPointReport p;
   p.strategy = "VitBit";
-  p.policy = "timeout";
-  p.arrival = "bursty";
+  p.mode = "fifo";
+  p.route = "jsq";
+  p.scope = "all";
+  p.group = "all";
   p.rate_rps = 1500;
   p.batch_failures = 3;
   p.retries = 7;
@@ -401,33 +523,43 @@ TEST(Report, ServePointFaultFieldsRoundTripAndDefaultToZero) {
   p.degraded_s = 0.125;
   report::RunReport rep;
   rep.tool = "serve_faults_test";
-  rep.serve_points.push_back(p);
+  rep.fleet_sched_points.push_back(p);
   const auto j = report::to_json(rep);
   const auto back = report::run_report_from_json(j);
-  ASSERT_EQ(back.serve_points.size(), 1u);
-  EXPECT_EQ(back.serve_points[0].batch_failures, 3u);
-  EXPECT_EQ(back.serve_points[0].retries, 7u);
-  EXPECT_EQ(back.serve_points[0].requeued, 6u);
-  EXPECT_EQ(back.serve_points[0].shed, 1u);
-  EXPECT_EQ(back.serve_points[0].failovers, 2u);
-  EXPECT_DOUBLE_EQ(back.serve_points[0].degraded_s, 0.125);
-  // Pre-minor-4 documents lack the fields entirely; they must read back
-  // as the fault-free zeros instead of failing.
+  ASSERT_EQ(back.fleet_sched_points.size(), 1u);
+  const auto& b = back.fleet_sched_points[0];
+  EXPECT_EQ(b.strategy, "VitBit");
+  EXPECT_EQ(b.batch_failures, 3u);
+  EXPECT_EQ(b.retries, 7u);
+  EXPECT_EQ(b.requeued, 6u);
+  EXPECT_EQ(b.shed, 1u);
+  EXPECT_EQ(b.failovers, 2u);
+  EXPECT_DOUBLE_EQ(b.degraded_s, 0.125);
+  // Pre-minor-10 documents lack the strategy and the fault fields
+  // entirely; they must read back as empty and the fault-free zeros
+  // instead of failing.
   auto old_doc = report::Json::object();
   for (const auto& [k, v] : j.items()) {
-    if (k != "serve_points") {
+    if (k != "fleet_sched_points") {
       old_doc.set(k, v);
       continue;
     }
+    auto row = report::Json::object();
+    for (const auto& [field, value] : v[0].items())
+      if (field != "strategy" && field != "batch_failures" &&
+          field != "retries" && field != "requeued" && field != "shed" &&
+          field != "failovers" && field != "degraded_s")
+        row.set(field, value);
     auto points = report::Json::array();
-    points.push_back(strip_fault_keys(v[0]));
+    points.push_back(std::move(row));
     old_doc.set(k, std::move(points));
   }
   const auto old = report::run_report_from_json(old_doc);
-  ASSERT_EQ(old.serve_points.size(), 1u);
-  EXPECT_EQ(old.serve_points[0].batch_failures, 0u);
-  EXPECT_EQ(old.serve_points[0].shed, 0u);
-  EXPECT_DOUBLE_EQ(old.serve_points[0].degraded_s, 0.0);
+  ASSERT_EQ(old.fleet_sched_points.size(), 1u);
+  EXPECT_EQ(old.fleet_sched_points[0].strategy, "");
+  EXPECT_EQ(old.fleet_sched_points[0].batch_failures, 0u);
+  EXPECT_EQ(old.fleet_sched_points[0].shed, 0u);
+  EXPECT_DOUBLE_EQ(old.fleet_sched_points[0].degraded_s, 0.0);
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
-// Serving-simulator tests: workload generator reproducibility, batching
-// policy semantics, the bounded admission queue, the event loop, and the
-// tier-1 determinism acceptance — a rate sweep must serialize to
-// byte-identical reports at every thread count.
+// Serving-engine tests: workload generator reproducibility (including the
+// one-class mixed stream's replay of the single-class stream), flush
+// policy semantics, the bounded admission queue, the single-server event
+// loop, and the tier-1 determinism acceptance — a rate sweep must
+// serialize to byte-identical reports at every thread count.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -10,11 +11,16 @@
 
 #include "common/check.h"
 #include "common/thread_pool.h"
-#include "nn/vit_model.h"
-#include "serve/server.h"
+#include "serve/cluster.h"
+#include "serve_test_util.h"
 
 namespace vitbit::serve {
 namespace {
+
+using testing::fifo_config;
+using testing::flat_table;
+using testing::one_model;
+using testing::serve;
 
 TEST(Workload, SameSeedSameStreamEveryKind) {
   for (const auto kind :
@@ -107,53 +113,105 @@ TEST(Workload, KindNamesRoundTrip) {
   EXPECT_THROW(arrival_kind_from_name("gaussian"), CheckError);
 }
 
+TEST(Workload, OneClassMixedStreamReplaysSingleClassStream) {
+  // The identity the single-server gates rely on: the one-class mixed
+  // stream at seed s - kSeedStride (mod 2^64) is generate_workload at
+  // seed s, id for id and arrival for arrival, for every arrival kind.
+  for (const auto kind :
+       {ArrivalKind::kPoisson, ArrivalKind::kUniform, ArrivalKind::kBursty})
+    for (const std::uint64_t seed : {1ull, 7ull, 42ull}) {
+      WorkloadConfig single;
+      single.kind = kind;
+      single.rate_rps = 2000;
+      single.duration_s = 0.25;
+      single.seed = seed;
+      MixedWorkloadConfig mixed;
+      mixed.classes[0].kind = kind;
+      mixed.rate_rps = single.rate_rps;
+      mixed.duration_s = single.duration_s;
+      mixed.seed = seed - kSeedStride;
+      const auto a = generate_workload(single);
+      const auto b = generate_mixed_workload(mixed);
+      ASSERT_FALSE(a.empty());
+      ASSERT_EQ(a.size(), b.size()) << arrival_kind_name(kind) << " " << seed;
+      for (std::size_t i = 0; i < a.size(); ++i) {
+        ASSERT_EQ(a[i].id, b[i].id) << i;
+        ASSERT_EQ(a[i].arrival_us, b[i].arrival_us) << i;
+        ASSERT_EQ(b[i].cls, 0);
+        ASSERT_EQ(b[i].model, 0);
+      }
+    }
+}
+
 TEST(Batcher, GreedyAlwaysDispatches) {
-  const auto p = make_policy("greedy");
-  EXPECT_EQ(p->name(), "greedy");
-  BatcherConfig cfg;
-  EXPECT_TRUE(p->decide(0, 1, 0, cfg).dispatch);
-  EXPECT_TRUE(p->decide(1000, 100, 999, cfg).dispatch);
+  // Greedy dispatches whatever is queued the moment a replica is idle: a
+  // lone request never waits, and a deep queue leaves in max_batch-sized
+  // batches back to back.
+  const auto reg = one_model(flat_table(100, 4));
+  const auto lone = serve({{0, 0}}, reg, fifo_config("greedy", 4, 64));
+  EXPECT_EQ(lone.max_us, 100u);
+  std::vector<Request> burst;
+  for (std::uint64_t i = 0; i < 10; ++i) burst.push_back({i, 999});
+  const auto deep = serve(burst, reg, fifo_config("greedy", 4, 64));
+  EXPECT_EQ(deep.batches, 3u);  // 4 + 4 + 2
+  EXPECT_EQ(deep.max_us, 300u);
 }
 
 TEST(Batcher, TimeoutPolicySemantics) {
-  const auto p = make_policy("timeout");
-  BatcherConfig cfg;
-  cfg.max_batch_size = 4;
+  // max_batch 4, timeout 2000 us, 50 us batches. A full batch at t=0
+  // dispatches regardless of age; a partial batch arriving at t=100 waits
+  // until its oldest request's deadline (2100) and then flushes.
+  auto cfg = fifo_config("timeout", 4, 64);
   cfg.batch_timeout_us = 2000;
-  // Full batch: dispatch regardless of age.
-  EXPECT_TRUE(p->decide(0, 4, 0, cfg).dispatch);
-  // Partial batch, oldest not yet timed out: wait until its deadline.
-  const auto wait = p->decide(/*now=*/500, /*depth=*/2, /*oldest=*/100, cfg);
-  EXPECT_FALSE(wait.dispatch);
-  EXPECT_EQ(wait.wake_us, 2100u);
-  // Deadline reached (or passed): flush the partial batch.
-  EXPECT_TRUE(p->decide(2100, 2, 100, cfg).dispatch);
-  EXPECT_TRUE(p->decide(5000, 1, 100, cfg).dispatch);
+  const std::vector<Request> w = {{0, 0},   {1, 0},   {2, 0},
+                                  {3, 0},   {4, 100}, {5, 100}};
+  const auto m = serve(w, one_model(flat_table(50, 4)), cfg);
+  EXPECT_EQ(m.completed, 6u);
+  EXPECT_EQ(m.batches, 2u);
+  EXPECT_EQ(m.p50_us, 50u);     // the full batch left at once
+  EXPECT_EQ(m.max_us, 2050u);   // waited 2000 us, then served in 50
+  EXPECT_DOUBLE_EQ(m.duration_s, 0.00215);
+  // A flush past the deadline is immediate: a lone request waits out its
+  // timeout and no longer.
+  const auto lone = serve({{0, 0}}, one_model(flat_table(50, 4)), cfg);
+  EXPECT_EQ(lone.max_us, 2050u);
 }
 
 TEST(Batcher, UnknownPolicyAndBadConfigThrow) {
-  EXPECT_THROW(make_policy("lifo"), CheckError);
-  BatcherConfig bad;
-  bad.max_batch_size = 0;
+  auto bad = fifo_config("lifo", 8, 64);
   EXPECT_THROW(bad.validate(), CheckError);
-  bad = BatcherConfig{};
-  bad.queue_capacity = 0;
+  bad = fifo_config("greedy", 0, 64);
   EXPECT_THROW(bad.validate(), CheckError);
+  bad = fifo_config("greedy", 8, 0);
+  EXPECT_THROW(bad.validate(), CheckError);
+  bad = fifo_config("timeout", 8, 64);
+  bad.batch_timeout_us = 0;
+  EXPECT_THROW(bad.validate(), CheckError);
+  // The timeout policy is fifo's; the continuous-batching modes reject it
+  // with a user-level message (no source location).
+  bad = fifo_config("timeout", 8, 64);
+  bad.mode = "cb";
+  try {
+    bad.validate();
+    ADD_FAILURE() << "timeout policy accepted in cb mode";
+  } catch (const CheckError& e) {
+    EXPECT_EQ(std::string(e.what()).find(".cpp"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(Batcher, AdmissionQueueFifoAndDropAccounting) {
-  AdmissionQueue q(2);
-  EXPECT_TRUE(q.offer({0, 10}));
-  EXPECT_TRUE(q.offer({1, 20}));
-  EXPECT_FALSE(q.offer({2, 30}));  // full -> dropped
-  EXPECT_EQ(q.dropped(), 1u);
-  EXPECT_EQ(q.depth(), 2u);
-  EXPECT_EQ(q.front().id, 0u);
-  const auto batch = q.pop_batch(8);  // capped by depth
-  ASSERT_EQ(batch.size(), 2u);
-  EXPECT_EQ(batch[0].id, 0u);
-  EXPECT_EQ(batch[1].id, 1u);
-  EXPECT_TRUE(q.empty());
+  // Capacity 2, three simultaneous arrivals: the third is dropped, and
+  // the first two leave together in arrival order.
+  const auto m = serve({{0, 10}, {1, 10}, {2, 10}},
+                       one_model(flat_table(100, 8)),
+                       fifo_config("greedy", 8, 2));
+  EXPECT_EQ(m.offered, 3u);
+  EXPECT_EQ(m.dropped, 1u);
+  EXPECT_EQ(m.completed, 2u);
+  EXPECT_EQ(m.batches, 1u);
+  EXPECT_DOUBLE_EQ(m.mean_batch_size, 2.0);
+  EXPECT_EQ(m.max_queue_depth, 2u);
 }
 
 TEST(Server, LatencyTableBoundsChecked) {
@@ -185,25 +243,15 @@ TEST(Server, ParseRateList) {
   EXPECT_THROW(parse_rate_list("1e999"), CheckError);  // overflows to inf
 }
 
-// Synthetic constant-latency table: queueing behavior only, no kernel
-// simulation.
-LatencyTable flat_table(std::uint64_t us, int max_batch) {
-  LatencyTable t;
-  t.batch_latency_us.assign(static_cast<std::size_t>(max_batch) + 1, us);
-  t.batch_latency_us[0] = 0;
-  return t;
-}
-
 TEST(Server, SecondReplicaAbsorbsConcurrentBatches) {
   // Two simultaneous singleton dispatches: one replica serializes them
   // (makespan 200 us), two replicas overlap them (100 us).
   const std::vector<Request> w = {{0, 0}, {1, 0}};
-  ServerConfig cfg;
-  cfg.policy = "greedy";
-  cfg.batcher.max_batch_size = 1;
-  const auto serial = simulate_server(w, flat_table(100, 1), cfg);
+  const auto reg = one_model(flat_table(100, 1));
+  auto cfg = fifo_config("greedy", 1, 64);
+  const auto serial = serve(w, reg, cfg);
   cfg.num_gpus = 2;
-  const auto dual = simulate_server(w, flat_table(100, 1), cfg);
+  const auto dual = serve(w, reg, cfg);
   EXPECT_EQ(serial.completed, 2u);
   EXPECT_EQ(dual.completed, 2u);
   EXPECT_EQ(serial.max_us, 200u);
@@ -215,18 +263,15 @@ TEST(Server, P99NonDecreasingInArrivalRate) {
   // Smoke property under the greedy policy: pushing the same open-loop
   // process harder can only deepen queueing, so the p99 latency at a fixed
   // seed must be non-decreasing in the arrival rate.
-  const auto table = flat_table(1000, 4);  // capacity 4000 req/s
-  ServerConfig cfg;
-  cfg.policy = "greedy";
-  cfg.batcher.max_batch_size = 4;
-  cfg.batcher.queue_capacity = 64;
+  const auto reg = one_model(flat_table(1000, 4));  // capacity 4000 req/s
+  const auto cfg = fifo_config("greedy", 4, 64);
   std::uint64_t prev = 0;
   for (const double rate : {100.0, 1000.0, 2500.0, 4000.0, 8000.0}) {
     WorkloadConfig w;
     w.rate_rps = rate;
     w.duration_s = 1.0;
     w.seed = 21;
-    const auto m = simulate_server(generate_workload(w), table, cfg);
+    const auto m = serve(generate_workload(w), reg, cfg);
     EXPECT_GE(m.p99_us, prev) << "rate " << rate;
     prev = m.p99_us;
   }
@@ -237,24 +282,32 @@ TEST(Server, P99NonDecreasingInArrivalRate) {
 // reports serially and on a 4-thread pool. Mirrors determinism_test's
 // contract for time_inference.
 TEST(Server, RateSweepReportByteIdenticalAcrossThreadCounts) {
-  SweepConfig cfg;
-  cfg.model = nn::vit_tiny();
+  FleetSchedSweepConfig cfg;
+  cfg.model_names = {"vit-tiny"};
+  cfg.strategies = {core::Strategy::kTC, core::Strategy::kVitBit};
+  cfg.modes = {"fifo"};
+  cfg.routes = {RoutePolicy::kJsq};
   cfg.rates_rps = {500, 2000};
   cfg.workload.duration_s = 0.2;
   cfg.workload.seed = 42;
-  cfg.server.batcher.max_batch_size = 2;
+  cfg.fleet.num_shards = 1;
+  cfg.fleet.percentiles = PercentileMode::kExact;
+  cfg.fleet.shard.policy = "timeout";
+  cfg.fleet.shard.max_batch = 2;
   const arch::OrinSpec spec;
   const auto& calib = arch::default_calibration();
 
-  const auto serial = report::to_json(make_serve_report(
-                          cfg, run_rate_sweep(cfg, spec, calib, nullptr),
+  const auto serial =
+      report::to_json(make_fleet_sched_report(
+                          cfg, run_fleet_sched_sweep(cfg, spec, calib, nullptr),
                           "serve_test", 1))
-                          .dump();
+          .dump();
   ThreadPool four(4);
-  const auto parallel = report::to_json(make_serve_report(
-                            cfg, run_rate_sweep(cfg, spec, calib, &four),
-                            "serve_test", 1))
-                            .dump();
+  const auto parallel =
+      report::to_json(make_fleet_sched_report(
+                          cfg, run_fleet_sched_sweep(cfg, spec, calib, &four),
+                          "serve_test", 1))
+          .dump();
   EXPECT_EQ(serial, parallel);
 }
 

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "common/check.h"
 #include "common/rng.h"
 #include "nn/vit_model.h"
 #include "tensor/gemm_ref.h"
@@ -130,6 +131,23 @@ TEST(Strategy, Table3Properties) {
   EXPECT_EQ(all_strategies().size(), 7u);
   EXPECT_EQ(figure5_strategies().front(), Strategy::kTC);
   EXPECT_EQ(figure5_strategies().back(), Strategy::kVitBit);
+}
+
+TEST(Strategy, FromNameRoundTripsAndRejectsUnknown) {
+  for (const auto s : all_strategies())
+    EXPECT_EQ(strategy_from_name(strategy_name(s)), s);
+  // Names are case-sensitive; the error lists every valid name and
+  // carries no source location (it is a user error, not a contract).
+  try {
+    strategy_from_name("vitbit");
+    ADD_FAILURE() << "lower-case name accepted";
+  } catch (const CheckError& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("TC|IC|FC|IC+FC|Tacker|TC+IC+FC|VitBit"),
+              std::string::npos)
+        << msg;
+    EXPECT_EQ(msg.find(".cpp"), std::string::npos) << msg;
+  }
 }
 
 TEST(Tuner, InitialStudyOrdering) {

@@ -1,14 +1,13 @@
 // check_regression — the CI perf gate.
 //
 // Runs the fig5 (end-to-end inference) and fig10 (IPC) pipelines on a
-// reduced-layer ViT-Base plus reduced serving-simulator sweeps — a
-// single-server rate sweep, a faults sweep (serve/server.h), a sharded
-// fleet sweep, a mixed-class scheduler sweep (serve/sched/sched.h), and
-// a class-aware scheduled-fleet sweep (serve/cluster.h) — emits
-// schema-versioned run reports, and diffs them against the checked-in
-// baselines. Exit 0 when
-// every metric is within tolerance; exit 1 naming the first offending
-// metric otherwise.
+// reduced-layer ViT-Base plus five reduced serving sweeps, all through
+// the one serving sweep (serve/cluster.h run_fleet_sched_sweep) — a
+// single-server rate sweep, a faults sweep, a sharded fleet sweep, a
+// mixed-class scheduler sweep, and a class-aware scheduled-fleet sweep —
+// emits schema-versioned run reports, and diffs them against the
+// checked-in baselines. Exit 0 when every metric is within tolerance;
+// exit 1 naming the first offending metric otherwise.
 //
 //   check_regression [--baselines=baselines] [--layers=2]
 //                    [--cycles-tol=0.02] [--ipc-tol=0.01] [--serve-tol=0.05]
@@ -52,8 +51,6 @@
 #include "report/baseline.h"
 #include "report/run_report.h"
 #include "serve/cluster.h"
-#include "serve/sched/sched.h"
-#include "serve/server.h"
 #include "sim/gpu_sim.h"
 #include "sim/sim_loop_timing.h"
 #include "tensor/gemm_timing.h"
@@ -228,141 +225,96 @@ int run(int argc, char** argv) {
   };
   for (const auto& fig : figures)
     gate(fig.name, build_report(fig, log, layers, cfg, spec, calib, pool));
+  // Serving gates, all through the one serving sweep: run it, then diff
+  // its report (host_wall_seconds measured from `start`).
+  const auto serve_report =
+      [&](const serve::FleetSchedSweepConfig& scfg,
+          const std::vector<serve::FleetSchedPoint>& points,
+          std::chrono::steady_clock::time_point start) {
+        auto fresh = serve::make_fleet_sched_report(scfg, points,
+                                                    "check_regression",
+                                                    pool.size());
+        fresh.host_wall_seconds =
+            std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                          start)
+                .count();
+        return fresh;
+      };
+  const auto serve_gate = [&](const std::string& name,
+                              const serve::FleetSchedSweepConfig& scfg) {
+    const auto start = std::chrono::steady_clock::now();
+    gate(name, serve_report(scfg,
+                            serve::run_fleet_sched_sweep(scfg, spec, calib,
+                                                         &pool),
+                            start));
+  };
+  // The single-server gates: one shard, one class, a 1-layer ViT-Base,
+  // fifo with the timeout flush policy, exact percentiles. Their seeds
+  // step back by the class/shard seed stride, so the one-class stream
+  // and shard 0's faults replay the single-class workload and fault
+  // draws of seed 7 and 11.
+  const auto single_server = [](const std::vector<double>& rates) {
+    serve::FleetSchedSweepConfig scfg;
+    scfg.model_names = {"vit-b"};
+    scfg.layers = 1;
+    scfg.strategies = {core::Strategy::kTC, core::Strategy::kVitBit};
+    scfg.modes = {"fifo"};
+    scfg.routes = {serve::RoutePolicy::kJsq};
+    scfg.rates_rps = rates;
+    scfg.workload.duration_s = 0.25;
+    scfg.workload.seed = 7 - serve::kSeedStride;
+    scfg.fleet.num_shards = 1;
+    scfg.fleet.percentiles = serve::PercentileMode::kExact;
+    scfg.fleet.shard.policy = "timeout";
+    scfg.fleet.shard.max_batch = 4;
+    scfg.fleet.shard.queue_capacity = 32;
+    return scfg;
+  };
   // Serving gate: a reduced rate sweep (1-layer model, small batches, one
   // unsaturated and one saturated rate) so queueing behaviour — goodput,
   // drops, tails — is regression-gated, not just kernel cycles.
-  {
-    serve::SweepConfig scfg;
-    scfg.model = nn::vit_base();
-    scfg.model.num_layers = 1;
-    scfg.rates_rps = {1000, 8000};
-    scfg.workload.duration_s = 0.25;
-    scfg.workload.seed = 7;
-    scfg.server.batcher.max_batch_size = 4;
-    scfg.server.batcher.queue_capacity = 32;
-    const auto serve_start = std::chrono::steady_clock::now();
-    const auto points = serve::run_rate_sweep(scfg, spec, calib, &pool);
-    auto fresh =
-        serve::make_serve_report(scfg, points, "check_regression",
-                                 pool.size());
-    fresh.host_wall_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      serve_start)
-            .count();
-    gate("serve_sweep", fresh);
-  }
+  serve_gate("serve_sweep", single_server({1000, 8000}));
   // Fault-injection gate: the same reduced sweep with every fault process
   // enabled — replica failures, transient batch failures, latency spikes,
   // retries, and degraded-mode failover to TC across two replicas — so
   // the retry/shed/failover accounting is regression-gated, not just the
   // fault-free queueing path.
   {
-    serve::SweepConfig scfg;
-    scfg.model = nn::vit_base();
-    scfg.model.num_layers = 1;
-    scfg.rates_rps = {2000, 6000};
-    scfg.workload.duration_s = 0.25;
-    scfg.workload.seed = 7;
-    scfg.server.batcher.max_batch_size = 4;
-    scfg.server.batcher.queue_capacity = 32;
-    scfg.server.num_gpus = 2;
-    scfg.server.faults.seed = 11;
-    scfg.server.faults.replica_mtbf_s = 0.05;
-    scfg.server.faults.replica_mttr_s = 0.02;
-    scfg.server.faults.batch_failure_prob = 0.05;
-    scfg.server.faults.latency_spike_prob = 0.1;
-    scfg.server.faults.latency_spike_mult = 3.0;
-    scfg.server.faults.degrade_below_live = 2;
-    scfg.fallback_strategy = core::Strategy::kTC;
-    const auto serve_start = std::chrono::steady_clock::now();
-    const auto points = serve::run_rate_sweep(scfg, spec, calib, &pool);
-    auto fresh =
-        serve::make_serve_report(scfg, points, "check_regression",
-                                 pool.size());
-    fresh.host_wall_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      serve_start)
-            .count();
-    gate("serve_faults", fresh);
+    auto scfg = single_server({2000, 6000});
+    auto& shard = scfg.fleet.shard;
+    shard.num_gpus = 2;
+    shard.faults.seed = 11 - serve::kSeedStride;
+    shard.faults.replica_mtbf_s = 0.05;
+    shard.faults.replica_mttr_s = 0.02;
+    shard.faults.batch_failure_prob = 0.05;
+    shard.faults.latency_spike_prob = 0.1;
+    shard.faults.latency_spike_mult = 3.0;
+    shard.faults.degrade_below_live = 2;
+    shard.fallback_strategy = core::Strategy::kTC;
+    serve_gate("serve_faults", scfg);
   }
   // Fleet gate: a reduced sharded sweep (4 shards, rr vs jsq vs po2c at
   // one unsaturated and one saturated rate, streaming P² percentiles,
   // autoscaling on) so the router, the sketch path, the span-weighted
   // aggregation, and the autoscaler are all regression-gated.
   {
-    serve::FleetSweepConfig fcfg;
-    fcfg.model = nn::vit_base();
-    fcfg.model.num_layers = 1;
-    fcfg.rates_rps = {2000, 12000};
-    fcfg.workload.duration_s = 0.25;
-    fcfg.workload.seed = 7;
-    fcfg.fleet.num_shards = 4;
-    fcfg.fleet.shard.batcher.max_batch_size = 4;
-    fcfg.fleet.shard.batcher.queue_capacity = 32;
-    fcfg.fleet.autoscale.min_replicas = 1;
-    fcfg.fleet.autoscale.max_replicas = 2;
-    fcfg.fleet.autoscale.interval_us = 20000;
-    fcfg.fleet.autoscale.up_queue_depth = 8;
-    fcfg.fleet.autoscale.down_queue_depth = 1;
-    fcfg.fleet.autoscale.cooldown_us = 40000;
-    const auto fleet_start = std::chrono::steady_clock::now();
-    const auto points = serve::run_fleet_sweep(fcfg, spec, calib, &pool);
-    auto fresh =
-        serve::make_fleet_report(fcfg, points, "check_regression",
-                                 pool.size());
-    fresh.host_wall_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      fleet_start)
-            .count();
-    gate("fleet_sweep", fresh);
+    auto scfg = single_server({2000, 12000});
+    scfg.strategies = {core::Strategy::kVitBit};
+    scfg.routes = {serve::RoutePolicy::kRoundRobin, serve::RoutePolicy::kJsq,
+                   serve::RoutePolicy::kPo2c};
+    scfg.fleet.num_shards = 4;
+    scfg.fleet.percentiles = serve::PercentileMode::kSketch;
+    scfg.fleet.autoscale.min_replicas = 1;
+    scfg.fleet.autoscale.max_replicas = 2;
+    scfg.fleet.autoscale.interval_us = 20000;
+    scfg.fleet.autoscale.up_queue_depth = 8;
+    scfg.fleet.autoscale.down_queue_depth = 1;
+    scfg.fleet.autoscale.cooldown_us = 40000;
+    serve_gate("fleet_sweep", scfg);
   }
-  // Scheduler gate: a reduced mixed-traffic sweep over a three-model zoo
-  // with three priority classes, all three modes (fifo, cb, cb-pre) at
-  // one unsaturated and one saturated rate — so the registry's memoized
-  // tables, WRR admission, deadline preemption, and the model-swap
-  // accounting are all regression-gated alongside the older tiers.
-  {
-    serve::SchedSweepConfig scfg;
-    scfg.model_names = {"vit-tiny", "vit-tiny-int4", "cnn-small"};
-    scfg.rates_rps = {2000, 12000};
-    scfg.workload.duration_s = 0.25;
-    scfg.workload.seed = 7;
-    scfg.workload.classes.assign(3, serve::ClassTraffic{});
-    scfg.workload.classes[0].rate_share = 0.2;
-    scfg.workload.classes[0].model_mix = {0.6, 0.2, 0.2};
-    scfg.workload.classes[1].rate_share = 0.5;
-    scfg.workload.classes[1].model_mix = {0.2, 0.6, 0.2};
-    scfg.workload.classes[2].rate_share = 0.3;
-    scfg.workload.classes[2].model_mix = {0.2, 0.2, 0.6};
-    scfg.sched.max_batch = 4;
-    scfg.sched.queue_capacity = 32;
-    scfg.sched.iters = 4;
-    // The 300 us interactive SLO is deliberately tight: queued
-    // interactive requests go urgent under the saturated rate, so the
-    // preemption counter is nonzero and regression-gated.
-    scfg.sched.classes = {{"interactive", 4.0, 300},
-                          {"standard", 2.0, 20000},
-                          {"batch", 1.0, 100000}};
-    scfg.swap.cache_models = 2;
-    const auto sched_start = std::chrono::steady_clock::now();
-    const auto points = serve::run_sched_sweep(scfg, spec, calib, &pool);
-    auto fresh = serve::make_sched_report(scfg, points, "check_regression",
-                                          pool.size());
-    fresh.host_wall_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      sched_start)
-            .count();
-    gate("sched_sweep", fresh);
-  }
-  // Scheduled-fleet gate: the same three-model / three-class mix sharded
-  // over four continuous-batching shards with spread placement, warm vs
-  // jsq routing, and the preemption-aware autoscaler enabled — so the
-  // unified tier (warm-mask routing, placement prestaging, per-class
-  // scale signals, span-weighted cross-shard aggregation) is
-  // regression-gated end to end. Beyond the baseline diff, the gate
-  // hard-asserts the tentpole claim: at equal offered traffic, warm
-  // routing must produce strictly fewer cold weight swaps than jsq.
-  {
+  // The mixed-traffic gates: a three-model zoo with three priority
+  // classes, all three modes at one unsaturated and one saturated rate.
+  const auto mixed = [] {
     serve::FleetSchedSweepConfig scfg;
     scfg.model_names = {"vit-tiny", "vit-tiny-int4", "cnn-small"};
     scfg.rates_rps = {2000, 12000};
@@ -378,9 +330,33 @@ int run(int argc, char** argv) {
     scfg.fleet.shard.max_batch = 4;
     scfg.fleet.shard.queue_capacity = 32;
     scfg.fleet.shard.iters = 4;
+    // The 300 us interactive SLO is deliberately tight: queued
+    // interactive requests go urgent under the saturated rate, so the
+    // preemption counter is nonzero and regression-gated.
     scfg.fleet.shard.classes = {{"interactive", 4.0, 300},
                                 {"standard", 2.0, 20000},
                                 {"batch", 1.0, 100000}};
+    return scfg;
+  };
+  // Scheduler gate: one shard, so the registry's memoized tables, WRR
+  // admission, deadline preemption, and the model-swap accounting are
+  // all regression-gated.
+  {
+    auto scfg = mixed();
+    scfg.routes = {serve::RoutePolicy::kJsq};
+    scfg.fleet.num_shards = 1;
+    scfg.swap.cache_models = 2;
+    serve_gate("sched_sweep", scfg);
+  }
+  // Scheduled-fleet gate: the same mix sharded over four shards with
+  // spread placement, warm vs jsq routing, and the preemption-aware
+  // autoscaler enabled — so warm-mask routing, placement prestaging,
+  // per-class scale signals, and span-weighted cross-shard aggregation
+  // are regression-gated end to end. Beyond the baseline diff, the gate
+  // hard-asserts that at equal offered traffic warm routing produces
+  // strictly fewer cold weight swaps than jsq.
+  {
+    auto scfg = mixed();
     // One cached model per replica: every cross-model dispatch on a
     // mis-routed shard is a cold swap, so the warm-vs-jsq contrast below
     // measures routing quality, not cache capacity.
@@ -395,13 +371,11 @@ int run(int argc, char** argv) {
     scfg.fleet.autoscale.down_queue_depth = 1;
     scfg.fleet.autoscale.cooldown_us = 40000;
     scfg.fleet.autoscale.up_preempt_per_s = 50.0;
-    const auto fs_start = std::chrono::steady_clock::now();
+    const auto start = std::chrono::steady_clock::now();
     const auto points = serve::run_fleet_sched_sweep(scfg, spec, calib,
                                                      &pool);
-    // Tentpole invariant: summed over the identical (mode, rate) grid,
-    // warm routing strictly reduces cold swaps vs jsq. Checked on the
-    // fresh run (not the baseline) so a routing regression trips even a
-    // --update run.
+    // Checked on the fresh run (not the baseline) so a routing regression
+    // trips even a --update run.
     std::uint64_t jsq_cold = 0, warm_cold = 0;
     for (const auto& p : points) {
       if (p.route == serve::RoutePolicy::kJsq)
@@ -418,14 +392,7 @@ int run(int argc, char** argv) {
                 << warm_cold << " vs jsq " << jsq_cold << ")\n";
       if (update) return 1;
     }
-    auto fresh = serve::make_fleet_sched_report(scfg, points,
-                                                "check_regression",
-                                                pool.size());
-    fresh.host_wall_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      fs_start)
-            .count();
-    gate("fleet_sched", fresh);
+    gate("fleet_sched", serve_report(scfg, points, start));
   }
   // Host-GEMM gate: the compute-heavy ViT-Base linear shape (fc1,
   // 197x768x3072), int32 and f32 paths under both fast engines. Bit-
