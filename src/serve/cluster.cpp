@@ -255,58 +255,36 @@ FleetSchedMetrics simulate_fleet_sched(const MixedWorkloadConfig& workload,
     fm.scale_downs += sh->scale_downs();
   }
 
-  // Cross-shard percentiles per scope, merged in shard-index order (the
-  // P² merge is not associative, so the order is part of the determinism
-  // contract).
-  const auto fill_percentiles = [&](ServeMetrics& m, auto&& sink_of) {
-    if (cfg.percentiles == PercentileMode::kSketch) {
-      LatencySketch merged;
-      for (std::size_t s = 0; s < n; ++s) merged.merge(sink_of(s).sketch());
-      m.p50_us = merged.percentile_us(50.0);
-      m.p90_us = merged.percentile_us(90.0);
-      m.p95_us = merged.percentile_us(95.0);
-      m.p99_us = merged.percentile_us(99.0);
-      m.max_us = merged.max_us();
-    } else {
-      std::vector<std::uint64_t> all;
-      for (std::size_t s = 0; s < n; ++s) {
-        const auto& v = sink_of(s).latencies();
-        all.insert(all.end(), v.begin(), v.end());
-      }
-      std::sort(all.begin(), all.end());
-      m.p50_us = percentile_nearest_rank(all, 50.0);
-      m.p90_us = percentile_nearest_rank(all, 90.0);
-      m.p95_us = percentile_nearest_rank(all, 95.0);
-      m.p99_us = percentile_nearest_rank(all, 99.0);
-      m.max_us = percentile_nearest_rank(all, 100.0);
-    }
-  };
-
+  // Every scope aggregates its counters across shards, then takes its
+  // percentiles over the union of the shards' sinks: rows[s] and
+  // sinks[s] hold shard s's metrics and sink for the scope at hand.
   std::vector<ServeMetrics> rows(n);
-  for (std::size_t s = 0; s < n; ++s) rows[s] = fm.per_shard[s].total;
-  fm.total.total = aggregate_shard_metrics(rows, end);
-  fill_percentiles(fm.total.total, [&](std::size_t s) -> const MetricsSink& {
-    return shards[s]->total_sink();
-  });
+  std::vector<const MetricsSink*> sinks(n);
+  const auto aggregate = [&] {
+    auto m = aggregate_shard_metrics(rows, end);
+    fill_percentiles(m, sinks);
+    return m;
+  };
+  for (std::size_t s = 0; s < n; ++s) {
+    rows[s] = fm.per_shard[s].total;
+    sinks[s] = &shards[s]->total_sink();
+  }
+  fm.total.total = aggregate();
   const auto n_class = fm.per_shard[0].per_class.size();
-  fm.total.per_class.resize(n_class);
   for (std::size_t c = 0; c < n_class; ++c) {
-    for (std::size_t s = 0; s < n; ++s) rows[s] = fm.per_shard[s].per_class[c];
-    fm.total.per_class[c] = aggregate_shard_metrics(rows, end);
-    fill_percentiles(fm.total.per_class[c],
-                     [&](std::size_t s) -> const MetricsSink& {
-                       return shards[s]->class_sink(c);
-                     });
+    for (std::size_t s = 0; s < n; ++s) {
+      rows[s] = fm.per_shard[s].per_class[c];
+      sinks[s] = &shards[s]->class_sink(c);
+    }
+    fm.total.per_class.push_back(aggregate());
   }
   const auto n_model = fm.per_shard[0].per_model.size();
-  fm.total.per_model.resize(n_model);
   for (std::size_t m = 0; m < n_model; ++m) {
-    for (std::size_t s = 0; s < n; ++s) rows[s] = fm.per_shard[s].per_model[m];
-    fm.total.per_model[m] = aggregate_shard_metrics(rows, end);
-    fill_percentiles(fm.total.per_model[m],
-                     [&](std::size_t s) -> const MetricsSink& {
-                       return shards[s]->model_sink(m);
-                     });
+    for (std::size_t s = 0; s < n; ++s) {
+      rows[s] = fm.per_shard[s].per_model[m];
+      sinks[s] = &shards[s]->model_sink(m);
+    }
+    fm.total.per_model.push_back(aggregate());
   }
   for (const auto& ps : fm.per_shard) {
     fm.total.preemptions += ps.preemptions;

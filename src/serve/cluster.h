@@ -11,14 +11,14 @@
 // single-threaded per sweep point (live-load routing couples the shards,
 // so they cannot be simulated independently), shards step in index order
 // at every timestamp, router decisions are pure functions of
-// (seed, policy, request id, live loads and warmth), and per-shard
-// percentile sketches merge in shard-index order. Parallelism only fans
-// out over sweep points through ThreadPool::parallel_map, so reports are
-// byte-identical at every --threads value.
+// (seed, policy, request id, live loads and warmth). Parallelism only
+// fans out over sweep points through ThreadPool::parallel_map, so
+// reports are byte-identical at every --threads value.
 //
 // Memory contract: arrivals stream through MixedWorkloadStream and, in
-// kSketch mode, latencies stream through P² sketches (serve/sketch.h), so
-// peak sink memory is independent of the request count.
+// kSketch mode, latencies land in log-linear histograms
+// (serve/sketch.h), so peak sink memory is independent of the request
+// count.
 #pragma once
 
 #include <cstdint>
@@ -76,8 +76,7 @@ struct FleetSchedConfig {
 // Fleet-level aggregate in the span-weighted sense of
 // aggregate_shard_metrics, applied per scope: the total and every
 // per-class / per-model breakdown aggregate across shards, with latency
-// percentiles merged in shard-index order (P² sketches in kSketch mode,
-// exact nearest-rank over concatenated samples in kExact).
+// percentiles over the union of the shards' sinks (fill_percentiles).
 struct FleetSchedMetrics {
   SchedMetrics total;
   std::vector<SchedMetrics> per_shard;
@@ -94,8 +93,8 @@ struct FleetSchedMetrics {
 // averaged naively: utilization = sum busy / sum replica-time (a shard
 // that served twice as long counts twice as much) and mean queue depth =
 // sum depth-integral / sum shard spans. Rates divide by the fleet
-// makespan `end_us`. Latency percentiles are NOT filled in here — the
-// caller owns those (they need the shards' sketches or raw samples).
+// makespan `end_us`. Latency percentiles are NOT filled in here — they
+// come from the shards' sinks (fill_percentiles, serve/metrics.h).
 ServeMetrics aggregate_shard_metrics(const std::vector<ServeMetrics>& shards,
                                      std::uint64_t end_us);
 

@@ -64,12 +64,11 @@ void MetricsSink::on_completion(std::uint64_t arrival_us,
   VITBIT_CHECK_MSG(done_us >= arrival_us, "completion precedes arrival");
   const std::uint64_t lat = done_us - arrival_us;
   ++completed_;
-  if (mode_ == PercentileMode::kExact) {
-    latencies_us_.push_back(lat);
-    return;
-  }
-  sketch_.add(lat);
   if (slo_us_ > 0 && lat <= slo_us_) ++within_slo_;
+  if (mode_ == PercentileMode::kExact)
+    latencies_us_.push_back(lat);
+  else
+    sketch_.add(lat);
 }
 
 std::uint64_t MetricsSink::running_p99_us() const {
@@ -77,25 +76,37 @@ std::uint64_t MetricsSink::running_p99_us() const {
   return percentile_nearest_rank(latencies_us_, 99.0);
 }
 
-const LatencySketch& MetricsSink::sketch() const {
-  VITBIT_CHECK_MSG(mode_ == PercentileMode::kSketch,
-                   "sketch() is only available in kSketch mode");
-  return sketch_;
+void fill_percentiles(ServeMetrics& m,
+                      const std::vector<const MetricsSink*>& sinks) {
+  VITBIT_CHECK(!sinks.empty());
+  const PercentileMode mode = sinks.front()->mode_;
+  for (const auto* s : sinks)
+    VITBIT_CHECK_MSG(s->mode_ == mode,
+                     "fill_percentiles over sinks of different modes");
+  if (mode == PercentileMode::kExact) {
+    std::vector<std::uint64_t> all;
+    for (const auto* s : sinks)
+      all.insert(all.end(), s->latencies_us_.begin(), s->latencies_us_.end());
+    std::sort(all.begin(), all.end());
+    m.p50_us = percentile_sorted(all, 50.0);
+    m.p90_us = percentile_sorted(all, 90.0);
+    m.p95_us = percentile_sorted(all, 95.0);
+    m.p99_us = percentile_sorted(all, 99.0);
+    m.max_us = percentile_sorted(all, 100.0);
+    return;
+  }
+  LatencySketch merged;
+  for (const auto* s : sinks) merged.merge(s->sketch_);
+  m.p50_us = merged.percentile_us(50.0);
+  m.p90_us = merged.percentile_us(90.0);
+  m.p95_us = merged.percentile_us(95.0);
+  m.p99_us = merged.percentile_us(99.0);
+  m.max_us = merged.max_us();
 }
 
-const std::vector<std::uint64_t>& MetricsSink::latencies() const {
-  VITBIT_CHECK_MSG(mode_ == PercentileMode::kExact,
-                   "latencies() is only available in kExact mode");
-  return latencies_us_;
-}
-
-ServeMetrics MetricsSink::finalize(int num_replicas, std::uint64_t end_us,
-                                   std::uint64_t slo_us) const {
+ServeMetrics MetricsSink::finalize(int num_replicas,
+                                   std::uint64_t end_us) const {
   VITBIT_CHECK(num_replicas >= 1);
-  if (mode_ == PercentileMode::kSketch)
-    VITBIT_CHECK_MSG(slo_us == slo_us_,
-                     "finalize slo_us " << slo_us << " != the sink's "
-                                        << slo_us_);
   ServeMetrics m;
   m.offered = offered_;
   m.completed = completed_;
@@ -131,14 +142,8 @@ ServeMetrics MetricsSink::finalize(int num_replicas, std::uint64_t end_us,
     m.mean_queue_depth = static_cast<double>(m.depth_integral_us) /
                          static_cast<double>(end_us);
     m.throughput_rps = static_cast<double>(m.completed) / m.duration_s;
-    std::uint64_t within_slo = within_slo_;
-    if (mode_ == PercentileMode::kExact) {
-      within_slo = 0;
-      for (const auto lat : latencies_us_)
-        if (lat <= slo_us) ++within_slo;
-    }
-    m.within_slo = within_slo;
-    m.goodput_rps = static_cast<double>(within_slo) / m.duration_s;
+    m.within_slo = within_slo_;
+    m.goodput_rps = static_cast<double>(within_slo_) / m.duration_s;
     m.utilization =
         replica_time_us_ != 0
             ? static_cast<double>(busy_us_) /
@@ -147,36 +152,21 @@ ServeMetrics MetricsSink::finalize(int num_replicas, std::uint64_t end_us,
                   (static_cast<double>(num_replicas) *
                    static_cast<double>(end_us));
   }
-  if (mode_ == PercentileMode::kExact) {
-    auto sorted = latencies_us_;
-    std::sort(sorted.begin(), sorted.end());
-    m.p50_us = percentile_sorted(sorted, 50.0);
-    m.p90_us = percentile_sorted(sorted, 90.0);
-    m.p95_us = percentile_sorted(sorted, 95.0);
-    m.p99_us = percentile_sorted(sorted, 99.0);
-    m.max_us = percentile_sorted(sorted, 100.0);
-  } else {
-    m.p50_us = sketch_.percentile_us(50.0);
-    m.p90_us = sketch_.percentile_us(90.0);
-    m.p95_us = sketch_.percentile_us(95.0);
-    m.p99_us = sketch_.percentile_us(99.0);
-    m.max_us = sketch_.max_us();
-  }
+  fill_percentiles(m, {this});
   return m;
 }
 
-SinkGroup::SinkGroup(std::vector<std::uint64_t> slos_us, PercentileMode mode)
-    : slos_us_(std::move(slos_us)) {
-  sinks_.reserve(slos_us_.size());
-  for (const auto slo : slos_us_) sinks_.emplace_back(mode, slo);
+SinkGroup::SinkGroup(const std::vector<std::uint64_t>& slos_us,
+                     PercentileMode mode) {
+  sinks_.reserve(slos_us.size());
+  for (const auto slo : slos_us) sinks_.emplace_back(mode, slo);
 }
 
 std::vector<ServeMetrics> SinkGroup::finalize(int num_replicas,
                                               std::uint64_t end_us) const {
   std::vector<ServeMetrics> out;
   out.reserve(sinks_.size());
-  for (std::size_t i = 0; i < sinks_.size(); ++i)
-    out.push_back(sinks_[i].finalize(num_replicas, end_us, slos_us_[i]));
+  for (const auto& s : sinks_) out.push_back(s.finalize(num_replicas, end_us));
   return out;
 }
 

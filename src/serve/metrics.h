@@ -9,11 +9,14 @@
 //   kExact   store every latency and sort once at finalize — exact
 //            nearest-rank percentiles, O(completed) memory. The
 //            single-server serving gates use this.
-//   kSketch  stream latencies through a P² sketch (serve/sketch.h) —
-//            estimated percentiles, O(1) memory independent of the
-//            request count. Sweeps default to this so they reach 10^7+
-//            requests; serve_sketch_test bounds the estimation error
-//            against kExact.
+//   kSketch  count latencies in a log-linear histogram (serve/sketch.h)
+//            — percentiles within 1/128 of exact, memory independent
+//            of the request count. Sweeps default to this so they reach
+//            10^7+ requests; serve_sketch_test and fleet_sched_test
+//            bound the error against kExact.
+//
+// fill_percentiles is the one place that turns sinks into p50..max, for
+// a single sink and for the union of a fleet's per-shard sinks alike.
 #pragma once
 
 #include <cstddef>
@@ -57,7 +60,7 @@ struct ServeMetrics {
   std::uint64_t max_queue_depth = 0;
   // Latency percentiles of completed requests (arrival to batch
   // completion), virtual microseconds: exact nearest-rank in kExact mode,
-  // P²-estimated (exact max) in kSketch mode.
+  // within 1/128 of it (exact max) in kSketch mode.
   std::uint64_t p50_us = 0;
   std::uint64_t p90_us = 0;
   std::uint64_t p95_us = 0;
@@ -81,11 +84,9 @@ void check_conservation(const ServeMetrics& m, const std::string& scope);
 
 class MetricsSink {
  public:
-  // `slo_us` is the goodput latency target. kSketch needs it up front
-  // (within-SLO counts accumulate per completion instead of in a finalize
-  // pass over stored samples) — 0 there means goodput is not tracked and
-  // finalizes to 0. kExact ignores it until finalize, where the value
-  // passed there must match when both are provided.
+  // `slo_us` is the goodput latency target: completions within it are
+  // counted as they happen. 0 means goodput is not tracked and finalizes
+  // to 0.
   explicit MetricsSink(PercentileMode mode = PercentileMode::kExact,
                        std::uint64_t slo_us = 0);
 
@@ -107,30 +108,25 @@ class MetricsSink {
   // it piecewise as the enabled-replica count changes.
   void add_replica_time_us(std::uint64_t us) { replica_time_us_ += us; }
 
-  // `end_us` is the simulation makespan; `slo_us` the goodput latency
-  // target. Zero-duration runs finalize to all-zero rates. When
-  // replica-time was never reported via add_replica_time_us, it defaults
-  // to num_replicas * end_us (the fixed-fleet case).
-  ServeMetrics finalize(int num_replicas, std::uint64_t end_us,
-                        std::uint64_t slo_us) const;
+  // `end_us` is the simulation makespan. Zero-duration runs finalize to
+  // all-zero rates. When replica-time was never reported via
+  // add_replica_time_us, it defaults to num_replicas * end_us (the
+  // fixed-fleet case).
+  ServeMetrics finalize(int num_replicas, std::uint64_t end_us) const;
 
-  PercentileMode mode() const { return mode_; }
-  // Running p99 estimate over completions so far — the autoscaler's
-  // optional latency trigger. P² estimate in kSketch mode; exact
+  // Running p99 over completions so far — the autoscaler's optional
+  // latency trigger. Histogram estimate in kSketch mode; exact
   // nearest-rank (a sort per call) in kExact mode.
   std::uint64_t running_p99_us() const;
   // Number of raw latency samples held — completed-request count in
   // kExact mode, always 0 in kSketch mode (the constant-memory claim the
   // fleet tests assert).
   std::size_t retained_latency_samples() const { return latencies_us_.size(); }
-  // The streaming sketch (kSketch mode only) — the fleet tier merges
-  // per-shard sketches in shard-index order.
-  const LatencySketch& sketch() const;
-  // The raw samples (kExact mode only) — the fleet tier concatenates them
-  // in shard-index order for exact fleet percentiles.
-  const std::vector<std::uint64_t>& latencies() const;
 
  private:
+  friend void fill_percentiles(ServeMetrics& m,
+                               const std::vector<const MetricsSink*>& sinks);
+
   PercentileMode mode_ = PercentileMode::kExact;
   std::uint64_t slo_us_ = 0;
   std::uint64_t offered_ = 0;
@@ -147,7 +143,7 @@ class MetricsSink {
   std::uint64_t busy_us_ = 0;
   // kExact: every completed-request latency. kSketch: unused (empty).
   std::vector<std::uint64_t> latencies_us_;
-  // kSketch: streaming percentile state + incremental within-SLO count.
+  // kSketch: the latency histogram.
   LatencySketch sketch_;
   std::uint64_t completed_ = 0;
   std::uint64_t within_slo_ = 0;
@@ -158,31 +154,37 @@ class MetricsSink {
   std::uint64_t max_depth_ = 0;
 };
 
+// Fills m.p50_us .. m.max_us over the union of `sinks`' completions. All
+// sinks must share one percentile mode: kExact sorts the concatenated
+// samples, kSketch merges the histograms. The result does not depend on
+// the order of `sinks`. Sinks with no completions fill zeros.
+void fill_percentiles(ServeMetrics& m,
+                      const std::vector<const MetricsSink*>& sinks);
+
 // A fixed-size family of MetricsSinks with one SLO per member — the
 // per-priority-class and per-model breakdowns the scheduler tier
 // (serve/sched) keeps next to its total sink. Groups share the total
 // sink's percentile mode, so a 10^6-request mixed-traffic sweep holds
-// one P² sketch per class and per model instead of per-request samples.
+// one histogram per class and per model instead of per-request samples.
 // An SLO of 0 disables goodput tracking for that member (per-model
 // groups: requests of different classes share a model, so no single
 // latency target applies).
 class SinkGroup {
  public:
-  SinkGroup(std::vector<std::uint64_t> slos_us, PercentileMode mode);
+  SinkGroup(const std::vector<std::uint64_t>& slos_us, PercentileMode mode);
 
   std::size_t size() const { return sinks_.size(); }
   MetricsSink& at(std::size_t i) { return sinks_[i]; }
   const MetricsSink& at(std::size_t i) const { return sinks_[i]; }
 
-  // Finalizes every member against its own SLO. Per-member replica
-  // counts are not meaningful (members share the replicas), so
-  // utilization fields of the results are not: callers report only the
-  // total sink's utilization.
+  // Finalizes every member. Per-member replica counts are not
+  // meaningful (members share the replicas), so utilization fields of
+  // the results are not: callers report only the total sink's
+  // utilization.
   std::vector<ServeMetrics> finalize(int num_replicas,
                                      std::uint64_t end_us) const;
 
  private:
-  std::vector<std::uint64_t> slos_us_;
   std::vector<MetricsSink> sinks_;
 };
 

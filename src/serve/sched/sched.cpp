@@ -89,8 +89,7 @@ SchedSim::SchedSim(const ModelRegistry& registry, const SchedConfig& cfg,
       policy_wake_us_(kNever),
       class_queues_(cfg.classes.size()),
       served_(cfg.classes.size(), 0),
-      total_(percentiles,
-             percentiles == PercentileMode::kSketch ? cfg.slo_us : 0),
+      total_(percentiles, cfg.slo_us),
       per_class_(
           [&cfg] {
             std::vector<std::uint64_t> slos;
@@ -681,7 +680,7 @@ SchedMetrics SchedSim::finalize(std::uint64_t end_us) {
     total_.add_replica_time_us(replica_time_integral_us_);
   }
   SchedMetrics m;
-  m.total = total_.finalize(cfg_.num_gpus, end_us, cfg_.slo_us);
+  m.total = total_.finalize(cfg_.num_gpus, end_us);
   m.per_class = per_class_.finalize(cfg_.num_gpus, end_us);
   m.per_model = per_model_.finalize(cfg_.num_gpus, end_us);
   // Failover and degraded time are shard-wide: every scope saw them.

@@ -226,8 +226,7 @@ class SchedSim {
   int enabled_replicas() const { return enabled_; }
   std::uint64_t scale_ups() const { return scale_ups_; }
   std::uint64_t scale_downs() const { return scale_downs_; }
-  // Sink access for the fleet tier's cross-shard percentile merges
-  // (shard-index order; the P² merge is not associative).
+  // Sink access for the fleet tier's cross-shard percentiles.
   const MetricsSink& total_sink() const { return total_; }
   const MetricsSink& class_sink(std::size_t c) const;
   const MetricsSink& model_sink(std::size_t m) const;

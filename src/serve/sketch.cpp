@@ -1,217 +1,77 @@
 #include "serve/sketch.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "common/check.h"
 
 namespace vitbit::serve {
 
-P2Quantile::P2Quantile(double q) : q_(q) {
-  VITBIT_CHECK_MSG(q > 0.0 && q < 1.0, "P2 quantile must be in (0, 1)");
-  buffer_.reserve(5);
-  increments_[0] = 0.0;
-  increments_[1] = q / 2.0;
-  increments_[2] = q;
-  increments_[3] = (1.0 + q) / 2.0;
-  increments_[4] = 1.0;
+namespace {
+
+// Values below 2^kLinearBits get one bucket each; every octave above
+// splits into 2^kSubBits equal buckets.
+constexpr int kLinearBits = 7;
+constexpr int kSubBits = 6;
+constexpr std::uint64_t kLinear = std::uint64_t{1} << kLinearBits;
+
+std::size_t bucket_of(std::uint64_t v) {
+  if (v < kLinear) return static_cast<std::size_t>(v);
+  const int octave = static_cast<int>(std::bit_width(v)) - 1;  // >= 7
+  const int shift = octave - kSubBits;
+  const std::uint64_t sub = (v - (std::uint64_t{1} << octave)) >> shift;
+  const auto octaves_up = static_cast<std::uint64_t>(octave - kLinearBits);
+  return static_cast<std::size_t>(kLinear + (octaves_up << kSubBits) + sub);
 }
 
-void P2Quantile::establish() {
-  // The buffer normally holds exactly five samples, but a merge of two
-  // still-buffering estimators can leave more (the concatenation stays
-  // exact until the next add()). Seat the markers at the nearest-rank
-  // positions for the q-quantile, then clamp them strictly increasing so
-  // the P² invariants hold; for n == 5 this reduces to positions 1..5 and
-  // heights = sorted buffer, byte-identical to the classic start-up.
-  std::sort(buffer_.begin(), buffer_.end());
-  const auto n = static_cast<double>(buffer_.size());
-  positions_[0] = 1.0;
-  positions_[4] = n;
-  for (int i = 1; i <= 3; ++i)
-    positions_[i] =
-        static_cast<double>(std::llround(1.0 + (n - 1.0) * increments_[i]));
-  for (int i = 1; i <= 3; ++i)
-    positions_[i] = std::max(positions_[i], positions_[i - 1] + 1.0);
-  for (int i = 3; i >= 1; --i)
-    positions_[i] = std::min(positions_[i], positions_[i + 1] - 1.0);
-  for (int i = 0; i < 5; ++i) {
-    heights_[i] = buffer_[static_cast<std::size_t>(positions_[i]) - 1];
-    desired_[i] = 1.0 + (n - 1.0) * increments_[i];
-  }
-  buffer_.clear();
-  buffer_.shrink_to_fit();
+// The integer midpoint of bucket `i`: the bucket itself below kLinear,
+// lower edge plus half the width above.
+std::uint64_t bucket_mid(std::size_t i) {
+  if (i < kLinear) return i;
+  const std::size_t j = i - kLinear;
+  const int octave = kLinearBits + static_cast<int>(j >> kSubBits);
+  const int shift = octave - kSubBits;
+  const std::uint64_t sub = j & ((std::size_t{1} << kSubBits) - 1);
+  const std::uint64_t lo = (std::uint64_t{1} << octave) + (sub << shift);
+  return lo + ((std::uint64_t{1} << shift) >> 1);
 }
 
-bool P2Quantile::established() const { return count_ > 0 && buffer_.empty(); }
-
-void P2Quantile::add(double x) {
-  const bool est = established();
-  ++count_;
-  if (est) {
-    add_established(x);
-    return;
-  }
-  buffer_.push_back(x);
-  if (buffer_.size() >= 5) establish();
-}
-
-void P2Quantile::add_established(double x) {
-  // Cell k: the marker interval x falls into; the extreme markers absorb
-  // out-of-range observations.
-  int k;
-  if (x < heights_[0]) {
-    heights_[0] = x;
-    k = 0;
-  } else if (x >= heights_[4]) {
-    heights_[4] = std::max(heights_[4], x);
-    k = 3;
-  } else {
-    k = 0;
-    while (k < 3 && x >= heights_[k + 1]) ++k;
-  }
-  for (int i = k + 1; i < 5; ++i) positions_[i] += 1.0;
-  for (int i = 0; i < 5; ++i) desired_[i] += increments_[i];
-
-  // Nudge the three interior markers toward their desired positions with
-  // the piecewise-parabolic (P²) height update, falling back to linear
-  // interpolation when the parabola would break marker monotonicity.
-  for (int i = 1; i <= 3; ++i) {
-    const double d = desired_[i] - positions_[i];
-    const double ahead = positions_[i + 1] - positions_[i];
-    const double behind = positions_[i - 1] - positions_[i];
-    if ((d >= 1.0 && ahead > 1.0) || (d <= -1.0 && behind < -1.0)) {
-      const double s = d >= 1.0 ? 1.0 : -1.0;
-      const double qp =
-          heights_[i] +
-          s / (positions_[i + 1] - positions_[i - 1]) *
-              ((positions_[i] - positions_[i - 1] + s) *
-                   (heights_[i + 1] - heights_[i]) / ahead +
-               (positions_[i + 1] - positions_[i] - s) *
-                   (heights_[i] - heights_[i - 1]) / -behind);
-      if (heights_[i - 1] < qp && qp < heights_[i + 1]) {
-        heights_[i] = qp;
-      } else {
-        // Linear step toward the neighbor in the adjustment direction.
-        const int j = i + static_cast<int>(s);
-        heights_[i] += s * (heights_[j] - heights_[i]) /
-                       (positions_[j] - positions_[i]);
-      }
-      positions_[i] += s;
-    }
-  }
-}
-
-double P2Quantile::value() const {
-  if (count_ == 0) return 0.0;
-  if (!buffer_.empty()) {
-    // Exact nearest-rank over the start-up buffer.
-    auto sorted = buffer_;
-    std::sort(sorted.begin(), sorted.end());
-    auto rank = static_cast<std::size_t>(
-        std::ceil(q_ * static_cast<double>(sorted.size())));
-    rank = std::max<std::size_t>(rank, 1);
-    rank = std::min(rank, sorted.size());
-    return sorted[rank - 1];
-  }
-  return heights_[2];
-}
-
-void P2Quantile::merge(const P2Quantile& other) {
-  VITBIT_CHECK_MSG(q_ == other.q_, "merging P2 estimators of different "
-                                   "quantiles");
-  if (other.count_ == 0) return;
-  if (!other.buffer_.empty()) {
-    if (!established()) {
-      // Both sides are still buffering: concatenate the exact samples and
-      // stay in buffer mode, so merged-then-queried percentiles equal the
-      // exact path over the combined stream and a later add() establishes
-      // the markers from the full concatenation (never from a stale
-      // five-sample prefix of one side).
-      buffer_.insert(buffer_.end(), other.buffer_.begin(),
-                     other.buffer_.end());
-      count_ += other.count_;
-      return;
-    }
-    // The source never left its start-up buffer: replay it exactly.
-    for (const double x : other.buffer_) add(x);
-    return;
-  }
-  if (count_ == 0 || !buffer_.empty()) {
-    // The destination is still buffering: adopt the established source,
-    // then replay our own buffered samples into it.
-    const auto mine = buffer_;
-    *this = other;
-    for (const double x : mine) add(x);
-    return;
-  }
-  // Both established: extremes take the envelope, interior heights are
-  // count-weighted averages, positions and counts add. The desired
-  // positions are recomputed from the merged count so later add() calls
-  // keep converging. This is the floating-point-non-associative step the
-  // fixed merge order exists for.
-  const auto wa = static_cast<double>(count_);
-  const auto wb = static_cast<double>(other.count_);
-  heights_[0] = std::min(heights_[0], other.heights_[0]);
-  heights_[4] = std::max(heights_[4], other.heights_[4]);
-  for (int i = 1; i <= 3; ++i)
-    heights_[i] = (heights_[i] * wa + other.heights_[i] * wb) / (wa + wb);
-  for (int i = 0; i < 5; ++i) {
-    positions_[i] += other.positions_[i];
-    desired_[i] = 1.0 + (wa + wb - 1.0) * increments_[i];
-  }
-  // Re-sort interior heights in the (rare) case weighted averaging broke
-  // monotonicity between adjacent markers of very different shapes.
-  std::sort(heights_ + 1, heights_ + 4);
-  count_ += other.count_;
-}
-
-LatencySketch::LatencySketch() {
-  quantiles_.reserve(4);
-  for (const double q : {0.50, 0.90, 0.95, 0.99}) quantiles_.emplace_back(q);
-}
+}  // namespace
 
 void LatencySketch::add(std::uint64_t latency_us) {
-  if (count_ == 0) {
-    min_us_ = latency_us;
-    max_us_ = latency_us;
-  } else {
-    min_us_ = std::min(min_us_, latency_us);
-    max_us_ = std::max(max_us_, latency_us);
-  }
+  min_us_ = count_ == 0 ? latency_us : std::min(min_us_, latency_us);
+  max_us_ = std::max(max_us_, latency_us);
   ++count_;
-  const auto x = static_cast<double>(latency_us);
-  for (auto& q : quantiles_) q.add(x);
+  const std::size_t b = bucket_of(latency_us);
+  if (b >= buckets_.size()) buckets_.resize(b + 1, 0);
+  ++buckets_[b];
 }
 
 void LatencySketch::merge(const LatencySketch& other) {
   if (other.count_ == 0) return;
-  if (count_ == 0) {
-    min_us_ = other.min_us_;
-    max_us_ = other.max_us_;
-  } else {
-    min_us_ = std::min(min_us_, other.min_us_);
-    max_us_ = std::max(max_us_, other.max_us_);
-  }
+  min_us_ = count_ == 0 ? other.min_us_ : std::min(min_us_, other.min_us_);
+  max_us_ = std::max(max_us_, other.max_us_);
   count_ += other.count_;
-  for (std::size_t i = 0; i < quantiles_.size(); ++i)
-    quantiles_[i].merge(other.quantiles_[i]);
+  if (other.buckets_.size() > buckets_.size())
+    buckets_.resize(other.buckets_.size(), 0);
+  for (std::size_t i = 0; i < other.buckets_.size(); ++i)
+    buckets_[i] += other.buckets_[i];
 }
 
 std::uint64_t LatencySketch::percentile_us(double p) const {
+  VITBIT_CHECK_MSG(p >= 0.0 && p <= 100.0, "percentile out of [0, 100]");
   if (count_ == 0) return 0;
-  if (p == 0.0) return min_us();
+  if (p == 0.0) return min_us_;
   if (p == 100.0) return max_us_;
-  for (const auto& q : quantiles_) {
-    if (q.quantile() * 100.0 == p) {
-      const double v = std::clamp(q.value(), static_cast<double>(min_us_),
-                                  static_cast<double>(max_us_));
-      return static_cast<std::uint64_t>(std::llround(v));
-    }
-  }
-  VITBIT_CHECK_MSG(false, "percentile " << p << " is not tracked by the "
-                                           "latency sketch");
-  return 0;
+  // The same rank rule as percentile_nearest_rank (serve/metrics.h).
+  const auto n = static_cast<double>(count_);
+  auto rank = static_cast<std::uint64_t>(std::ceil(p / 100.0 * n));
+  rank = std::clamp<std::uint64_t>(rank, 1, count_);
+  std::uint64_t seen = 0;
+  std::size_t i = 0;
+  while ((seen += buckets_[i]) < rank) ++i;
+  return std::clamp(bucket_mid(i), min_us_, max_us_);
 }
 
 }  // namespace vitbit::serve

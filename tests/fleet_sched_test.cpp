@@ -7,8 +7,11 @@
 // bench/serve_sim and `vitbit_cli serve`.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/check.h"
@@ -35,9 +38,9 @@ Cli make_cli(const std::vector<std::string>& flags) {
   return Cli(static_cast<int>(argv.size()), argv.data());
 }
 
-// Field-by-field ServeMetrics equality — the one-shard pin must be
-// exact, not within tolerance.
-void expect_metrics_equal(const ServeMetrics& a, const ServeMetrics& b) {
+// Field-by-field equality of everything but p50..p99 — what the two
+// percentile modes must agree on exactly (max is exact in both).
+void expect_counters_equal(const ServeMetrics& a, const ServeMetrics& b) {
   EXPECT_EQ(a.offered, b.offered);
   EXPECT_EQ(a.completed, b.completed);
   EXPECT_EQ(a.dropped, b.dropped);
@@ -51,11 +54,35 @@ void expect_metrics_equal(const ServeMetrics& a, const ServeMetrics& b) {
   EXPECT_DOUBLE_EQ(a.utilization, b.utilization);
   EXPECT_DOUBLE_EQ(a.mean_queue_depth, b.mean_queue_depth);
   EXPECT_EQ(a.max_queue_depth, b.max_queue_depth);
+  EXPECT_EQ(a.within_slo, b.within_slo);
+  EXPECT_EQ(a.busy_us, b.busy_us);
+  EXPECT_EQ(a.replica_time_us, b.replica_time_us);
+  EXPECT_EQ(a.end_us, b.end_us);
+  EXPECT_EQ(a.max_us, b.max_us);
+}
+
+// Field-by-field ServeMetrics equality — the one-shard pin must be
+// exact, not within tolerance.
+void expect_metrics_equal(const ServeMetrics& a, const ServeMetrics& b) {
+  expect_counters_equal(a, b);
   EXPECT_EQ(a.p50_us, b.p50_us);
   EXPECT_EQ(a.p90_us, b.p90_us);
   EXPECT_EQ(a.p95_us, b.p95_us);
   EXPECT_EQ(a.p99_us, b.p99_us);
-  EXPECT_EQ(a.max_us, b.max_us);
+}
+
+// p50..p99 of the histogram within 1/128 of exact nearest-rank.
+void expect_percentiles_within_bound(const ServeMetrics& exact,
+                                     const ServeMetrics& sketch,
+                                     const std::string& scope) {
+  for (const auto& [e, s] : {std::pair{exact.p50_us, sketch.p50_us},
+                             std::pair{exact.p90_us, sketch.p90_us},
+                             std::pair{exact.p95_us, sketch.p95_us},
+                             std::pair{exact.p99_us, sketch.p99_us}}) {
+    EXPECT_LE(std::abs(static_cast<double>(s) - static_cast<double>(e)),
+              static_cast<double>(e) / 128.0)
+        << scope << " exact=" << e << " sketch=" << s;
+  }
 }
 
 MixedWorkloadConfig mixed_workload(double rate) {
@@ -114,6 +141,89 @@ TEST(FleetSched, OneShardReproducesSimulateSchedInEveryMode) {
     EXPECT_EQ(fleet.total.swap_us, direct.swap_us) << mode;
     EXPECT_EQ(fleet.scale_ups, 0u) << mode;
     EXPECT_EQ(fleet.scale_downs, 0u) << mode;
+  }
+}
+
+TEST(FleetSched, SketchTracksExactOnMixedTraffic) {
+  // A reduced copy of the mixed-traffic gates: three zoo models, three
+  // priority classes with a tight interactive SLO, cb-pre at a saturating
+  // rate, on one shard and on four (spread placement, warm routing, the
+  // preemption-aware autoscaler). Both percentile modes must agree on
+  // every counter, and every total, class and model p50..p99 must be
+  // within 1/128 of exact.
+  SwapCostConfig swap;
+  swap.cache_models = 1;
+  const auto reg =
+      make_registry({"vit-tiny", "vit-tiny-int4", "cnn-small"}, 4, swap);
+  MixedWorkloadConfig w;
+  w.rate_rps = 12'000.0;
+  w.duration_s = 0.25;
+  w.seed = 7;
+  w.num_models = 3;
+  w.classes.assign(3, ClassTraffic{});
+  w.classes[0].rate_share = 0.2;
+  w.classes[0].model_mix = {0.6, 0.2, 0.2};
+  w.classes[1].rate_share = 0.5;
+  w.classes[1].model_mix = {0.2, 0.6, 0.2};
+  w.classes[2].rate_share = 0.3;
+  w.classes[2].model_mix = {0.2, 0.2, 0.6};
+
+  for (const int shards : {1, 4}) {
+    FleetSchedConfig fc;
+    fc.num_shards = shards;
+    fc.shard.mode = "cb-pre";
+    fc.shard.max_batch = 4;
+    fc.shard.queue_capacity = 32;
+    fc.shard.iters = 4;
+    fc.shard.classes = {{"interactive", 4.0, 300},
+                        {"standard", 2.0, 20'000},
+                        {"batch", 1.0, 100'000}};
+    if (shards > 1) {
+      fc.route = RoutePolicy::kWarm;
+      fc.placement = PlacementPolicy::kSpread;
+      fc.autoscale.min_replicas = 1;
+      fc.autoscale.max_replicas = 2;
+      fc.autoscale.interval_us = 20'000;
+      fc.autoscale.up_queue_depth = 8;
+      fc.autoscale.down_queue_depth = 1;
+      fc.autoscale.cooldown_us = 40'000;
+      fc.autoscale.up_preempt_per_s = 50.0;
+    }
+    fc.percentiles = PercentileMode::kExact;
+    const auto exact = simulate_fleet_sched(w, reg, fc);
+    fc.percentiles = PercentileMode::kSketch;
+    const auto sketch = simulate_fleet_sched(w, reg, fc);
+    const std::string at = std::to_string(shards) + " shard(s) ";
+
+    ASSERT_GT(exact.total.total.completed, 1'000u) << at;
+    expect_counters_equal(sketch.total.total, exact.total.total);
+    expect_percentiles_within_bound(exact.total.total, sketch.total.total,
+                                    at + "total");
+    ASSERT_EQ(sketch.total.per_class.size(), 3u);
+    for (std::size_t c = 0; c < 3; ++c) {
+      expect_counters_equal(sketch.total.per_class[c],
+                            exact.total.per_class[c]);
+      expect_percentiles_within_bound(exact.total.per_class[c],
+                                      sketch.total.per_class[c],
+                                      at + "class " + std::to_string(c));
+    }
+    ASSERT_EQ(sketch.total.per_model.size(), 3u);
+    for (std::size_t m = 0; m < 3; ++m) {
+      expect_counters_equal(sketch.total.per_model[m],
+                            exact.total.per_model[m]);
+      expect_percentiles_within_bound(exact.total.per_model[m],
+                                      sketch.total.per_model[m],
+                                      at + "model " + std::to_string(m));
+    }
+    for (std::size_t s = 0; s < exact.per_shard.size(); ++s)
+      expect_counters_equal(sketch.per_shard[s].total,
+                            exact.per_shard[s].total);
+    EXPECT_EQ(sketch.total.preemptions, exact.total.preemptions) << at;
+    EXPECT_EQ(sketch.total.model_swaps, exact.total.model_swaps) << at;
+    EXPECT_EQ(sketch.total.cold_swaps, exact.total.cold_swaps) << at;
+    EXPECT_EQ(sketch.total.swap_us, exact.total.swap_us) << at;
+    EXPECT_EQ(sketch.scale_ups, exact.scale_ups) << at;
+    EXPECT_EQ(sketch.scale_downs, exact.scale_downs) << at;
   }
 }
 
@@ -280,9 +390,11 @@ TEST(FleetSchedSweep, ReportRoundTripsAndIndexes) {
       1 + cfg.fleet.shard.classes.size() + cfg.model_names.size();
   EXPECT_EQ(rep.fleet_sched_points.size(), points.size() * rows_per_point);
 
-  const std::string path = "fleet_sched_report_roundtrip_test.json";
+  const std::string path =
+      ::testing::TempDir() + "fleet_sched_report_roundtrip_test.json";
   report::save_report_file(path, rep);
   const auto back = report::load_report_file(path);
+  std::remove(path.c_str());
   EXPECT_TRUE(report::to_json(back) == report::to_json(rep));
 
   const auto* p =

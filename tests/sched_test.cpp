@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -397,9 +398,11 @@ TEST(SchedSweep, ReportRoundTripsAndIndexes) {
   EXPECT_EQ(rep.fleet_sched_points.size(),
             cfg.modes.size() * cfg.rates_rps.size() * rows_per_point);
 
-  const std::string path = "sched_report_roundtrip_test.json";
+  const std::string path =
+      ::testing::TempDir() + "sched_report_roundtrip_test.json";
   report::save_report_file(path, rep);
   const auto back = report::load_report_file(path);
+  std::remove(path.c_str());
   EXPECT_TRUE(report::to_json(back) == report::to_json(rep));
 
   const auto* p =

@@ -65,8 +65,7 @@ TEST(MetricsSink, TimeWeightedQueueDepth) {
   MetricsSink sink;
   sink.on_queue_depth(0, 2);   // depth 2 over [0, 10)
   sink.on_queue_depth(10, 0);  // depth 0 over [10, 20)
-  const auto m = sink.finalize(/*num_replicas=*/1, /*end_us=*/20,
-                               /*slo_us=*/100);
+  const auto m = sink.finalize(/*num_replicas=*/1, /*end_us=*/20);
   EXPECT_DOUBLE_EQ(m.mean_queue_depth, 1.0);  // (2*10 + 0*10) / 20
   EXPECT_EQ(m.max_queue_depth, 2u);
 }
@@ -74,14 +73,14 @@ TEST(MetricsSink, TimeWeightedQueueDepth) {
 TEST(MetricsSink, TailAfterLastChangeCountsAtThatDepth) {
   MetricsSink sink;
   sink.on_queue_depth(0, 4);  // never drained: depth 4 over the whole run
-  const auto m = sink.finalize(1, 10, 100);
+  const auto m = sink.finalize(1, 10);
   EXPECT_DOUBLE_EQ(m.mean_queue_depth, 4.0);
 }
 
 TEST(MetricsSink, ZeroDurationFinalizesToZeroRates) {
   MetricsSink sink;
   sink.on_offered();
-  const auto m = sink.finalize(1, 0, 100);
+  const auto m = sink.finalize(1, 0);
   EXPECT_EQ(m.offered, 1u);
   EXPECT_DOUBLE_EQ(m.throughput_rps, 0.0);
   EXPECT_DOUBLE_EQ(m.goodput_rps, 0.0);
@@ -90,11 +89,11 @@ TEST(MetricsSink, ZeroDurationFinalizesToZeroRates) {
 }
 
 TEST(MetricsSink, GoodputCountsOnlyWithinSlo) {
-  MetricsSink sink;
+  MetricsSink sink(PercentileMode::kExact, /*slo_us=*/100);
   sink.on_completion(0, 50);    // latency 50 <= SLO
   sink.on_completion(0, 100);   // latency 100 == SLO (inclusive)
   sink.on_completion(0, 101);   // latency 101 > SLO
-  const auto m = sink.finalize(1, 1'000'000, /*slo_us=*/100);
+  const auto m = sink.finalize(1, 1'000'000);
   EXPECT_EQ(m.completed, 3u);
   EXPECT_DOUBLE_EQ(m.throughput_rps, 3.0);
   EXPECT_DOUBLE_EQ(m.goodput_rps, 2.0);
@@ -112,7 +111,7 @@ TEST(MetricsSink, FaultCountersFinalizeVerbatim) {
   sink.on_failover();
   sink.add_degraded_us(250'000);
   sink.add_degraded_us(125'000);  // accumulates across failover episodes
-  const auto m = sink.finalize(1, 1'000'000, 100);
+  const auto m = sink.finalize(1, 1'000'000);
   EXPECT_EQ(m.batch_failures, 2u);
   EXPECT_EQ(m.retries, 3u);
   EXPECT_EQ(m.requeued, 1u);
@@ -122,7 +121,7 @@ TEST(MetricsSink, FaultCountersFinalizeVerbatim) {
 }
 
 TEST(MetricsSink, FaultCountersDefaultToZero) {
-  const auto m = MetricsSink{}.finalize(1, 1'000'000, 100);
+  const auto m = MetricsSink{}.finalize(1, 1'000'000);
   EXPECT_EQ(m.batch_failures, 0u);
   EXPECT_EQ(m.retries, 0u);
   EXPECT_EQ(m.requeued, 0u);

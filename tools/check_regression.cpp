@@ -294,7 +294,7 @@ int run(int argc, char** argv) {
     serve_gate("serve_faults", scfg);
   }
   // Fleet gate: a reduced sharded sweep (4 shards, rr vs jsq vs po2c at
-  // one unsaturated and one saturated rate, streaming P² percentiles,
+  // one unsaturated and one saturated rate, histogram percentiles,
   // autoscaling on) so the router, the sketch path, the span-weighted
   // aggregation, and the autoscaler are all regression-gated.
   {
